@@ -15,7 +15,9 @@
 // cluster.
 //
 // refine measures the exact-refinement engines (Hopcroft-Karp,
-// push-relabel, and the parallel MS-BFS-Graft engine at 1/2/4 workers)
+// push-relabel with global relabeling, the Pothen-Fan+ sweep followed by
+// it — RefineExact's engine — and the parallel MS-BFS-Graft engine at
+// 1/2/4 workers)
 // completing one shared cheap warm start on adversarial instances.
 //
 // The perf, refine and serve experiments additionally write their records to a

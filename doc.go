@@ -102,9 +102,15 @@
 // heuristic matching jump-starts an exact augmenting-path engine, which
 // only pays for the rows the heuristic left free, and a refined single
 // run always satisfies size == Sprank(). Three engines share that
-// contract. Hopcroft–Karp is the sequential reference. RefinePushRelabel
-// is the push-relabel/auction scheme of the GPU and multicore
-// maximum-transversal codes the paper cites. RefineGraft is the parallel
+// contract. RefineExact runs the sequential pair Deveci et al. use as
+// their baseline: one Pothen–Fan+ sweep (a DFS per free row with
+// lookahead, each column visited once per sweep) and then, only if rows
+// are still free, push-relabel with global relabeling (a BFS from the
+// free columns resets the labels to exact distances every (n+m)/4 bids).
+// RefinePushRelabel is that push-relabel alone, the scheme of the GPU
+// and multicore maximum-transversal codes the paper cites.
+// Hopcroft–Karp stays the cold reference behind Sprank() and
+// MaximumMatching(). RefineGraft is the parallel
 // engine — a multi-source BFS with tree grafting in the style of Azad et
 // al.'s MS-BFS-Graft, which grows one alternating forest per exposed row
 // across the Matcher's pool and commits augmenting paths in a fixed
@@ -113,8 +119,8 @@
 // the graft engine on large instances (where refinement dominates
 // end-to-end time) and MatchResult.RefinedWith reports the engine that
 // actually ran. Inside an ensemble the refinement is ensemble-aware: it
-// advances incrementally (one engine phase, or one push-relabel bid
-// budget, per consumed candidate), warm-starts from the best heuristic so
+// advances incrementally (the sweep, one push-relabel bid budget or one
+// graft phase per consumed candidate), warm-starts from the best heuristic so
 // far, and stops the ensemble the moment the refined size reaches the
 // Target or structural sprank bound — jump-start workloads stop paying
 // for candidates the refinement has already made redundant:

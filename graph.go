@@ -189,11 +189,12 @@ func (g *Graph) transpose() *sparse.CSR {
 func (g *Graph) MaximumMatching() *Matching { return exact.HopcroftKarp(g.a, nil) }
 
 // MaximumMatchingPushRelabel computes a maximum matching with the
-// push-relabel/auction scheme (the algorithm family of the GPU and
-// multicore maximum-transversal codes the paper cites). init may be nil
-// or a warm-start matching.
+// push-relabel/auction scheme with global relabeling (the algorithm family
+// of the GPU and multicore maximum-transversal codes the paper cites) —
+// the engine behind RefinePushRelabel. init may be nil or a warm-start
+// matching.
 func (g *Graph) MaximumMatchingPushRelabel(init *Matching) *Matching {
-	return exact.PushRelabel(g.a, init)
+	return exact.NewPRRefinerWs(g.a, g.transpose(), init, &exact.Workspace{}).Run()
 }
 
 // MaximumMatchingFrom completes the given partial matching to a maximum

@@ -57,23 +57,39 @@ func NewHKRefinerWs(a *sparse.CSR, init *Matching, ws *Workspace) *HKRefiner {
 }
 
 // NewPRRefinerWs is NewPRRefiner on a reusable Workspace, with the same
-// reuse contract as NewHKRefinerWs.
-func NewPRRefinerWs(a *sparse.CSR, init *Matching, ws *Workspace) *PRRefiner {
+// reuse contract as NewHKRefinerWs. at is a's transpose, which the global
+// relabel walks; it is only read.
+func NewPRRefinerWs(a, at *sparse.CSR, init *Matching, ws *Workspace) *PRRefiner {
 	n, m := a.RowsN, a.ColsN
 	r := &ws.pr
-	r.a = a
+	r.a, r.at, r.cancel = a, at, nil
 	r.mt = ws.matching(n, m, init)
-	r.limit = int32(n + m + 1)
+	r.limit = int32(min(n, m) + 1)
 	r.psi = growInt32(r.psi, m)
-	for j := range r.psi {
-		r.psi[j] = 0
+	r.queue = growInt32(r.queue, n)
+	r.seen = growInt32(r.seen, n)
+	for i := range r.seen {
+		r.seen[i] = 0
 	}
-	r.stack = r.stack[:0]
-	for i := n - 1; i >= 0; i-- {
+	r.epoch = 0
+	r.head, r.count = 0, 0
+	for i := 0; i < n; i++ {
 		if r.mt.RowMate[i] == NIL && a.Degree(i) > 0 {
-			r.stack = append(r.stack, int32(i))
+			r.queue[r.count] = int32(i)
+			r.count++
 		}
 	}
+	r.bids, r.since, r.stale = 0, 0, true
+	r.every = max((n+m)/4, 1)
+	r.sweep = false
+	r.look = growInt(r.look, n)
+	r.arc = growInt(r.arc, n)
+	copy(r.look, a.Ptr[:n])
+	r.visit = growInt32(r.visit, m)
+	for j := range r.visit {
+		r.visit[j] = 0
+	}
+	r.stamp = 0
 	return r
 }
 

@@ -238,8 +238,9 @@ type matchResponse struct {
 	CandidatesRun int    `json:"candidates_run"`
 	HeuristicSize int    `json:"heuristic_size"`
 	Refined       bool   `json:"refined"`
-	// RefinedWith names the refinement engine that actually ran ("exact",
-	// "pushrelabel" or "graft" — "refine":"exact" auto-selects the parallel
+	// RefinedWith names the refinement engine that actually ran ("exact" —
+	// a Pothen–Fan+ sweep then push-relabel with global relabeling —
+	// "pushrelabel" or "graft"; "refine":"exact" auto-selects the parallel
 	// graft engine on large instances). Absent when no refinement ran.
 	RefinedWith string `json:"refined_with,omitempty"`
 	// Weighted provenance, present only on "algorithm":"auction" responses:

@@ -128,18 +128,21 @@ func (m *Matcher) Reset(g *Graph) {
 func (m *Matcher) Graph() *Graph { return m.g }
 
 // setCancel installs (or clears, with nil) the session's cooperative
-// cancellation hook; the scaling, sampling and Karp–Sipser stages all poll
-// it at chunk granularity. The hook must be cheap, concurrency-safe and
-// monotone (once true, always true — a context's Err is). A canceled call
-// returns ErrCanceled (or a nil matching from KarpSipser) and leaves the
-// session reusable; the batch engine arms this per request from the
-// request's context.
+// cancellation hook; the scaling, sampling, Karp–Sipser and refinement
+// stages all poll it at chunk granularity. The hook must be cheap,
+// concurrency-safe and monotone (once true, always true — a context's Err
+// is). A canceled call returns ErrCanceled (or a nil matching from
+// KarpSipser) and leaves the session reusable; the batch engine arms this
+// per request from the request's context.
 func (m *Matcher) setCancel(cancel func() bool) {
 	m.cancel = cancel
 	if m.sess != nil {
 		m.sess.SetCancel(cancel)
 	}
 }
+
+// canceled polls the session's cancellation hook.
+func (m *Matcher) canceled() bool { return m.cancel != nil && m.cancel() }
 
 // installScaling hands the session a precomputed scaling of the bound
 // graph — the shared per-graph once-cell of the batch engine — so the slot
@@ -156,9 +159,10 @@ func (m *Matcher) installScaling(sc *Scaling) {
 }
 
 // refineWs returns the session's refinement workspace, building it on
-// first use: the Hopcroft–Karp, push-relabel and graft refiners all run on
-// it, so a session issuing repeated refining Specs (the ensemble+refine
-// serving pattern) reuses one set of refinement buffers and stays
+// first use: the push-relabel (with or without the sweep) and graft
+// refiners all run on it, so a session issuing repeated refining Specs
+// (the ensemble+refine serving pattern) reuses one set of refinement
+// buffers and stays
 // allocation-free in steady state. One refiner is live on it at a time —
 // exactly the Spec engine's shape, which never interleaves two refiners.
 func (m *Matcher) refineWs() *exact.Workspace {

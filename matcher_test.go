@@ -256,6 +256,8 @@ func TestMatcherSteadyStateAllocs(t *testing.T) {
 		spec Spec
 	}{
 		{"RefineExact", Spec{Refine: RefineExact}},
+		{"RefinePushRelabel", Spec{Refine: RefinePushRelabel}},
+		{"EnsembleRefineExact", Spec{Ensemble: 4, Refine: RefineExact, Sequential: true}},
 		{"RefineGraft", Spec{Refine: RefineGraft}},
 		{"EnsembleRefineGraft", Spec{Ensemble: 4, Refine: RefineGraft, Sequential: true}},
 	} {

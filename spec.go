@@ -105,19 +105,22 @@ const (
 	// RefineNone returns the heuristic matching as is.
 	RefineNone Refinement = iota
 	// RefineExact augments the heuristic matching to maximum cardinality
-	// with Hopcroft–Karp — the paper's central application (§4, Table 3):
-	// the heuristic is a jump-start, the exact solver only pays for the
-	// rows the heuristic left free. A refined single run always satisfies
-	// size == Sprank(); inside an ensemble, refinement proceeds
-	// incrementally between candidates and a Spec.Target may stop it early
-	// (size ≥ ⌈Target·SprankUpperBound()⌉), otherwise it too finishes at
-	// size == Sprank().
+	// — the paper's central application (§4, Table 3): the heuristic is a
+	// jump-start, the exact solver only pays for the rows the heuristic
+	// left free. The engine is one Pothen–Fan+ sweep (a DFS per free row
+	// with lookahead, each column visited once per sweep) followed, only
+	// if rows are still free, by push-relabel with global relabeling; on
+	// large instances it auto-selects RefineGraft. A refined single run
+	// always satisfies size == Sprank(); inside an ensemble, refinement
+	// proceeds incrementally between candidates and a Spec.Target may stop
+	// it early (size ≥ ⌈Target·SprankUpperBound()⌉), otherwise it too
+	// finishes at size == Sprank().
 	RefineExact
 	// RefinePushRelabel augments with the push-relabel / auction scheme
-	// instead (the algorithm family of the GPU and multicore
-	// maximum-transversal codes the paper cites) — the second augmentation
-	// family under the same Spec, with exactly RefineExact's contract. The
-	// two produce matchings of identical (maximum) size but generally
+	// with global relabeling alone, without RefineExact's sweep (the
+	// algorithm family of the GPU and multicore maximum-transversal codes
+	// the paper cites), with exactly RefineExact's contract. The two
+	// produce matchings of identical (maximum) size but generally
 	// different mates.
 	RefinePushRelabel
 	// RefineGraft augments with the parallel multi-source BFS +
@@ -135,9 +138,9 @@ const (
 )
 
 // graftAutoEdges is the edge count at which RefineExact auto-selects the
-// parallel graft engine: below it the sequential Hopcroft–Karp tail is
-// cheaper than any fan-out, above it refinement dominates end-to-end time
-// and the graft engine's pool-wide search wins. A variable so the
+// parallel graft engine: below it the sequential sweep + push-relabel tail
+// is cheaper than any fan-out, above it refinement dominates end-to-end
+// time and the graft engine's pool-wide search wins. A variable so the
 // threshold tests don't need multi-million-edge instances.
 var graftAutoEdges = 2 << 20
 
@@ -329,11 +332,12 @@ func (s Spec) Validate() error {
 // winner's provenance (WinnerSeed, Candidates, HeuristicSize) and, for
 // AlgKarpSipser, the winner's phase statistics.
 //
-// Refinement completes the winner toward maximum cardinality with
-// Hopcroft–Karp (RefineExact), push-relabel (RefinePushRelabel) or the
-// parallel MS-BFS-Graft engine (RefineGraft; RefineExact auto-selects it
-// on instances with at least graftAutoEdges nonzeros, and
-// MatchResult.RefinedWith reports the engine that actually ran). For
+// Refinement completes the winner toward maximum cardinality with a
+// Pothen–Fan+ sweep then push-relabel (RefineExact), push-relabel alone
+// (RefinePushRelabel) or the parallel MS-BFS-Graft engine (RefineGraft;
+// RefineExact auto-selects it on instances with at least graftAutoEdges
+// nonzeros, and MatchResult.RefinedWith reports the engine that actually
+// ran). For
 // single runs the refined matching always satisfies size == Sprank().
 // Inside an ensemble the refinement is ensemble-aware: it advances one
 // bounded unit per consumed candidate, warm-starting from the best
@@ -346,9 +350,10 @@ func (s Spec) Validate() error {
 //
 // Cancellation (the batch layer's per-request deadlines) is honored
 // between and inside candidate runs at the kernels' usual checkpoints,
-// and inside graft refinement between frontier chunks; the sequential
-// refiners are not interruptible — they are bounded warm-start work — so
-// a deadline expiring mid-refinement is reported right after them.
+// and inside every refinement: between graft frontier chunks, between
+// chunks of sweep roots and once per push-relabel bid budget, and
+// between ensemble refinement advances. A canceled refinement returns
+// ErrCanceled.
 func (m *Matcher) Run(spec Spec) (*MatchResult, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -380,19 +385,20 @@ func (m *Matcher) runSingle(spec Spec, seed uint64, sc *Scaling) (*MatchResult, 
 	heuristic := best.Size
 	ref := m.resolveRefine(spec.Refine)
 	switch ref {
-	case RefineExact:
-		best = exact.NewHKRefinerWs(m.g.a, best, m.refineWs()).Run()
-	case RefinePushRelabel:
-		best = exact.NewPRRefinerWs(m.g.a, best, m.refineWs()).Run()
+	case RefineExact, RefinePushRelabel:
+		pr := exact.NewPRRefinerWs(m.g.a, m.g.transpose(), best, m.refineWs())
+		pr.SetSweep(ref == RefineExact)
+		pr.SetCancel(m.cancel)
+		best = pr.Run()
 	case RefineGraft:
 		gr := exact.NewGraftRefinerWs(m.g.a, best, m.refineWs())
 		gr.SetTranspose(m.g.transpose())
 		gr.SetParallel(m.refineWidth())
 		gr.SetCancel(m.cancel)
 		best = gr.Run()
-		if m.cancel != nil && m.cancel() {
-			return nil, ErrCanceled
-		}
+	}
+	if ref != RefineNone && m.canceled() {
+		return nil, ErrCanceled
 	}
 	m.result = MatchResult{
 		Matching:      best,
@@ -462,8 +468,11 @@ func (m *Matcher) runEnsemble(spec Spec, base uint64, sc *Scaling) (*MatchResult
 			// to the maximum otherwise (the RefineExact guarantee). A size
 			// already at the structural bound is provably maximum, so the
 			// loop never pays a fruitless final sweep for it.
-			for e.refiner.Size() < e.ub && (e.targetR == 0 || e.refiner.Size() < e.targetR) && e.refiner.Advance() {
+			for !m.canceled() && e.refiner.Size() < e.ub && (e.targetR == 0 || e.refiner.Size() < e.targetR) && e.refiner.Advance() {
 			}
+		}
+		if m.canceled() {
+			return nil, ErrCanceled
 		}
 		final = e.refiner.Result()
 	}
@@ -672,20 +681,15 @@ func (e *ensembleRun) runParallel(pool *par.Pool, width int, sc *Scaling) {
 }
 
 // specRefiner is the incremental engine behind ensemble-aware refinement:
-// Advance performs one bounded unit of augmentation work (a Hopcroft–Karp
-// phase, a push-relabel bid budget) and reports whether the matching may
-// still be improvable; Result exposes the refined matching, which is valid
+// Advance performs one bounded unit of augmentation work (the sweep, a
+// push-relabel bid budget, a graft phase) and reports whether the matching
+// may still be improvable; Result exposes the refined matching, which is valid
 // between advances and whose size is monotone.
 type specRefiner interface {
 	Advance() bool
 	Size() int
 	Result() *Matching
 }
-
-type hkSpecRefiner struct{ *exact.HKRefiner }
-
-func (r hkSpecRefiner) Advance() bool     { return r.Phase() }
-func (r hkSpecRefiner) Result() *Matching { return r.Matching() }
 
 type prSpecRefiner struct {
 	r      *exact.PRRefiner
@@ -717,28 +721,24 @@ func (m *Matcher) resolveRefine(ref Refinement) Refinement {
 
 // newSpecRefiner builds the incremental refiner of the given (resolved)
 // family on the session's refinement workspace, warm-started from a copy of
-// init. The push-relabel advance budget is one bid per row — roughly one
-// sweep of work per unit, the granularity a Hopcroft–Karp phase has
-// naturally. A graft refiner built here starts at width 1: consume runs
-// inside the parallel schedule's pool region, where nested pool dispatch
-// would deadlock; runEnsemble re-widens it for the completion loop, which
-// the engine's any-width bit-identity makes safe.
+// init. For RefineExact the first advance is the Pothen–Fan+ sweep; every
+// other push-relabel advance is a budget of one bid per row — roughly one
+// sweep of work per unit. A graft refiner built here starts at width 1:
+// consume runs inside the parallel schedule's pool region, where nested
+// pool dispatch would deadlock; runEnsemble re-widens it for the
+// completion loop, which the engine's any-width bit-identity makes safe.
 func (m *Matcher) newSpecRefiner(ref Refinement, init *Matching) specRefiner {
 	a, ws := m.g.a, m.refineWs()
-	switch ref {
-	case RefinePushRelabel:
-		budget := a.RowsN
-		if budget < 1 {
-			budget = 1
-		}
-		return prSpecRefiner{r: exact.NewPRRefinerWs(a, init, ws), budget: budget}
-	case RefineGraft:
+	if ref == RefineGraft {
 		gr := exact.NewGraftRefinerWs(a, init, ws)
 		gr.SetTranspose(m.g.transpose())
+		gr.SetCancel(m.cancel)
 		return graftSpecRefiner{r: gr}
-	default:
-		return hkSpecRefiner{exact.NewHKRefinerWs(a, init, ws)}
 	}
+	pr := exact.NewPRRefinerWs(a, m.g.transpose(), init, ws)
+	pr.SetSweep(ref == RefineExact)
+	pr.SetCancel(m.cancel)
+	return prSpecRefiner{r: pr, budget: max(a.RowsN, 1)}
 }
 
 // runOnce dispatches a single candidate run of the given algorithm. The

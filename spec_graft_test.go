@@ -94,7 +94,11 @@ func TestSpecRefineGraftAutoSelect(t *testing.T) {
 // TestSpecGraftBitIdenticalAcrossWidths gates the tentpole acceptance
 // criterion through the public API: a graft-refined Spec returns the same
 // matching — mates, not just size — at Workers: 1 and at every pool width,
-// for single runs and for ensembles on both schedules.
+// for single runs and for ensembles on both schedules. Single runs use
+// heuristics whose full matching is itself width-independent (sequential
+// Karp–Sipser, the cheap baseline): a parallel TwoSided pairing varies
+// with the schedule by the package's determinism contract, so it cannot
+// anchor a bit-identity check of the refiner behind it.
 func TestSpecGraftBitIdenticalAcrossWidths(t *testing.T) {
 	graphs := []struct {
 		name string
@@ -104,7 +108,7 @@ func TestSpecGraftBitIdenticalAcrossWidths(t *testing.T) {
 		{"road-800", RoadNetwork(800, 2.5, 9)}, // rank-deficient
 	}
 	specs := []Spec{
-		{Algorithm: AlgTwoSided, Seed: 1, Refine: RefineGraft},
+		{Algorithm: AlgKarpSipser, Seed: 1, Refine: RefineGraft},
 		{Algorithm: AlgCheapVertex, Seed: 2, Refine: RefineGraft},
 		{Algorithm: AlgTwoSided, Seed: 3, Ensemble: 6, Refine: RefineGraft},
 		{Algorithm: AlgKarpSipser, Seed: 4, Ensemble: 4, Refine: RefineGraft},
