@@ -106,7 +106,9 @@
 // their baseline: one Pothen–Fan+ sweep (a DFS per free row with
 // lookahead, each column visited once per sweep) and then, only if rows
 // are still free, push-relabel with global relabeling (a BFS from the
-// free columns resets the labels to exact distances every (n+m)/4 bids).
+// free columns resets the labels to exact distances every (n+m)/4 bids;
+// a run without the sweep starts on zero labels and waits (n+m)/2 bids
+// for its first relabel, so short warm-start tails need none).
 // RefinePushRelabel is that push-relabel alone, the scheme of the GPU
 // and multicore maximum-transversal codes the paper cites.
 // Hopcroft–Karp stays the cold reference behind Sprank() and

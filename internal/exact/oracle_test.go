@@ -55,8 +55,9 @@ func TestBruteForceOracleKnown(t *testing.T) {
 	}
 }
 
-// TestAllSolversMatchOracle compares Hopcroft–Karp, MC21 and PushRelabel
-// against exhaustive search on thousands of small random instances.
+// TestAllSolversMatchOracle compares Hopcroft–Karp, MC21, PushRelabel and
+// the Pothen–Fan+ sweep followed by push-relabel against exhaustive search
+// on thousands of small random instances.
 func TestAllSolversMatchOracle(t *testing.T) {
 	f := func(seed uint64, r8, c8, d uint8) bool {
 		rows := int(r8)%10 + 1
@@ -74,6 +75,10 @@ func TestAllSolversMatchOracle(t *testing.T) {
 		}
 		if PushRelabel(a, nil).Size != want {
 			t.Logf("PushRelabel wrong on seed=%d %dx%d nnz=%d", seed, rows, cols, nnz)
+			return false
+		}
+		if mt, _ := runPR(a, nil, true); mt.Size != want {
+			t.Logf("sweep+PushRelabel wrong on seed=%d %dx%d nnz=%d", seed, rows, cols, nnz)
 			return false
 		}
 		return true
@@ -96,19 +101,74 @@ func TestPushRelabelMatchesHKOnLargerInstances(t *testing.T) {
 	}
 }
 
-func TestPushRelabelRectangularAndDeficient(t *testing.T) {
-	cases := []*sparse.CSR{
-		gen.ER(40, 90, 200, 3),
-		gen.ER(90, 40, 200, 3),
-		gen.BadKS(64, 8),
-		gen.Identity(50),
-		sparse.FromDense([][]int{{0, 0}, {0, 0}}), // empty
+// prFamilies are the inputs the push-relabel engines are held to
+// Hopcroft–Karp on: the adversarial families, rectangular shapes both
+// ways, and inputs with empty rows and columns.
+func prFamilies() map[string]*sparse.CSR {
+	return map[string]*sparse.CSR{
+		"rankdef":     gen.RankDeficient(3000, 900, 4, 11),
+		"longthin":    gen.LongThinPath(5000),
+		"grid3d":      gen.Grid3D(12, 12, 12, false),
+		"grid2d":      gen.Grid2D(50, 60),
+		"powerlaw":    gen.PowerLaw(3000, 3, 1.5, 300, 12),
+		"wide":        gen.ER(40, 90, 200, 3),
+		"tall":        gen.ER(90, 40, 200, 3),
+		"skewed":      gen.SkewedDegree(2000, 1500, 4, 3, 15),
+		"badks":       gen.BadKS(64, 8),
+		"identity":    gen.Identity(50),
+		"emptyrowcol": gen.ER(600, 500, 300, 16),
+		"allempty":    sparse.FromDense([][]int{{0, 0, 0}, {0, 0, 0}}),
+		"nocols":      {RowsN: 4, ColsN: 0, Ptr: []int{0, 0, 0, 0, 0}},
+		"zero":        {RowsN: 0, ColsN: 0, Ptr: []int{0}},
 	}
-	for k, a := range cases {
-		pr := PushRelabel(a, nil)
-		checkMatching(t, a, pr)
-		if pr.Size != HopcroftKarp(a, nil).Size {
-			t.Fatalf("case %d: sizes differ", k)
+}
+
+// runPR runs the push-relabel refiner to completion, with or without the
+// Pothen–Fan+ sweep.
+func runPR(a *sparse.CSR, init *Matching, sweep bool) (*Matching, *PRRefiner) {
+	r := NewPRRefiner(a, init)
+	r.SetSweep(sweep)
+	return r.Run(), r
+}
+
+// TestPushRelabelRectangularAndDeficient: both engines (push-relabel alone
+// and sweep then push-relabel) reach Hopcroft–Karp's size on every family
+// from a nil, a partial and an already-maximum warm start, return a valid
+// matching, leave the warm start untouched, and are deterministic.
+func TestPushRelabelRectangularAndDeficient(t *testing.T) {
+	for name, a := range prFamilies() {
+		maxm := HopcroftKarp(a, nil)
+		warm := map[string]*Matching{
+			"nil":     nil,
+			"partial": randomInit(a, 3),
+			"maximum": maxm,
+		}
+		for wname, init := range warm {
+			var initRows []int32
+			if init != nil {
+				initRows = append([]int32(nil), init.RowMate...)
+			}
+			for _, sweep := range []bool{false, true} {
+				mt, r := runPR(a, init, sweep)
+				checkMatching(t, a, mt)
+				if mt.Size != maxm.Size {
+					t.Fatalf("%s/%s sweep=%v: size %d != HK %d", name, wname, sweep, mt.Size, maxm.Size)
+				}
+				if !r.Done() || r.Step(1) {
+					t.Fatalf("%s/%s sweep=%v: finished refiner not done", name, wname, sweep)
+				}
+				for i, j := range initRows {
+					if init.RowMate[i] != j {
+						t.Fatalf("%s/%s: warm start row %d mutated", name, wname, i)
+					}
+				}
+				again, _ := runPR(a, init, sweep)
+				for i := range mt.RowMate {
+					if again.RowMate[i] != mt.RowMate[i] {
+						t.Fatalf("%s/%s sweep=%v: rerun differs at row %d", name, wname, sweep, i)
+					}
+				}
+			}
 		}
 	}
 }

@@ -3,26 +3,35 @@ package exact
 import "repro/internal/sparse"
 
 // PRRefiner is the incremental form of the push-relabel / auction scheme
-// with global relabeling: the matching, the column labels and a FIFO queue
-// of active rows, advanced a bounded number of bids at a time. The held
+// with global relabeling: the matching, the column labels and a queue of
+// active rows, advanced a bounded number of bids at a time. The held
 // matching is valid between steps and its size is monotone (a bid either
 // evicts — size unchanged — or claims a free column), so callers can
 // interleave bounded Step calls with other work and stop as soon as the
 // size crosses a bound, exactly like HKRefiner.
 //
 // A column's label is a lower bound on its alternating distance to a free
-// column. Bids keep the bound valid but raise it one step at a time, which
-// is quadratic on structurally deficient inputs, where whole regions can
-// never reach a free column. The global relabel replaces every label by
-// the exact distance — a BFS from the free columns over the transpose —
-// and caps the unreachable ones at once. It runs before the first bid and
-// then every (n+m)/4 bids.
+// column. Labels start at zero. Bids keep the bound valid but raise it one
+// step at a time, which is quadratic on structurally deficient inputs,
+// where whole regions can never reach a free column. The global relabel
+// replaces every label by the exact distance — a BFS from the free columns
+// over the transpose — and caps the unreachable ones at once. It runs every
+// (n+m)/4 bids, but the first one waits twice as long: the short tails a
+// heuristic warm start leaves usually finish on zero labels without any
+// BFS, and a deficient input pays at most (n+m)/2 bids before its doomed
+// columns are capped. A Pothen–Fan+ sweep invalidates the labels, so the
+// first bid after a sweep relabels at once.
+//
+// Until the first relabel an evicted row goes to the front of the queue,
+// so each eviction chain runs depth-first with good locality, as in the
+// classic bid loop; from then on it goes to the back (FIFO), the order
+// that keeps the relabelled bid count linear in practice.
 //
 // SetSweep schedules one Pothen–Fan+ pass as the first Step: every free
 // row roots an augmenting DFS with a per-row lookahead cursor, and columns
-// are stamped once per sweep, so the pass costs one traversal of the graph
-// and finds a maximal set of vertex-disjoint augmenting paths. Push-relabel
-// then only has to finish the rows the sweep left free.
+// are visited at most once per sweep, so the pass costs one traversal of
+// the graph and finds a maximal set of vertex-disjoint augmenting paths.
+// Push-relabel then only has to finish the rows the sweep left free.
 type PRRefiner struct {
 	a, at  *sparse.CSR
 	mt     *Matching
@@ -34,23 +43,21 @@ type PRRefiner struct {
 	limit int32
 	psi   []int32
 	bfs   []int32 // global-relabel column queue
-	seen  []int32 // relabel epoch in which each free row was reached
-	epoch int32
 
-	// Active rows: a FIFO ring of capacity n. A row is queued only while
-	// free, and at most once.
+	// Active rows: a ring of capacity n. A row is queued only while free,
+	// and at most once.
 	queue       []int32
 	head, count int
 
 	bids, every, since int
 	stale              bool // labels are not valid for the current matching
+	fifo               bool // a relabel has run: evicted rows queue at the back
 
-	// Pothen–Fan+ state: the per-row lookahead and DFS cursors, the
-	// per-sweep column stamps and the DFS path.
+	// Pothen–Fan+ state, set up by the sweep itself: the per-row lookahead
+	// and DFS cursors, the per-sweep visited columns and the DFS path.
 	sweep     bool
 	look, arc []int
-	stamp     int32
-	visit     []int32
+	visit     []bool
 	rows      []int32
 	cols      []int32
 }
@@ -60,10 +67,10 @@ const sweepChunk = 256
 
 // NewPRRefiner prepares an incremental push-relabel run on a, warm-started
 // from init (nil means the empty matching; init is copied, not mutated, and
-// not retained). It builds the transpose the global relabel walks; callers
-// that hold one use NewPRRefinerWs.
+// not retained). The transpose the global relabel walks is built at the
+// first relabel; callers that hold one use NewPRRefinerWs.
 func NewPRRefiner(a *sparse.CSR, init *Matching) *PRRefiner {
-	return NewPRRefinerWs(a, a.Transpose(), init, &Workspace{})
+	return NewPRRefinerWs(a, nil, init, &Workspace{})
 }
 
 // SetSweep schedules (or, with false, cancels) a Pothen–Fan+ pass as the
@@ -137,7 +144,11 @@ func (r *PRRefiner) Step(budget int) bool {
 		// Evict the current mate (it becomes active again) and take c1.
 		if prev := mt.ColMate[c1]; prev != NIL {
 			mt.RowMate[prev] = NIL
-			r.push(prev)
+			if r.fifo {
+				r.push(prev)
+			} else {
+				r.pushFront(prev)
+			}
 		} else {
 			mt.Size++
 		}
@@ -162,16 +173,23 @@ func (r *PRRefiner) push(row int32) {
 	r.count++
 }
 
+func (r *PRRefiner) pushFront(row int32) {
+	if r.head == 0 {
+		r.head = len(r.queue)
+	}
+	r.head--
+	r.queue[r.head] = row
+	r.count++
+}
+
 // relabel sets every column label to its exact alternating distance to a
 // free column — a BFS from the free columns that steps from a column to
-// each neighbor row's mate — and caps the columns it never reaches. The
-// BFS stops at the first level boundary after it has touched every queued
-// row: every label a queued row can bid on from then on is either exact
-// or, for the columns not yet reached, one above the last complete level,
-// which is still a valid lower bound.
+// each neighbor row's mate — and caps the columns it never reaches.
 func (r *PRRefiner) relabel() {
+	if r.at == nil {
+		r.at = r.a.Transpose()
+	}
 	psi, mt, at, limit := r.psi, r.mt, r.at, r.limit
-	r.epoch++
 	q := r.bfs[:0]
 	for j, i := range mt.ColMate {
 		if i == NIL {
@@ -181,48 +199,35 @@ func (r *PRRefiner) relabel() {
 			psi[j] = limit
 		}
 	}
-	reached, cut := 0, limit
 	for h := 0; h < len(q); h++ {
 		j := q[h]
-		if reached == r.count && h > 0 && psi[j] != psi[q[h-1]] {
-			cut = psi[j] + 1
-			break
-		}
 		d := psi[j] + 1
 		for p := at.Ptr[j]; p < at.Ptr[j+1]; p++ {
-			i := at.Idx[p]
-			j2 := mt.RowMate[i]
-			if j2 == NIL {
-				if r.seen[i] != r.epoch {
-					r.seen[i] = r.epoch
-					reached++
-				}
-				continue
-			}
-			if psi[j2] == limit {
+			if j2 := mt.RowMate[at.Idx[p]]; j2 != NIL && psi[j2] == limit {
 				psi[j2] = d
 				q = append(q, j2)
 			}
 		}
 	}
-	if cut < limit {
-		for j := range psi {
-			if psi[j] == limit {
-				psi[j] = cut
-			}
-		}
-	}
 	r.bfs = q
-	r.since, r.stale = 0, false
+	r.since, r.stale, r.fifo = 0, false, true
 }
 
 // runSweep is the Pothen–Fan+ pass over the queued (free) rows: each roots
 // a DFS that first tries the row's lookahead cursor for a free column and
-// otherwise descends through a column not yet stamped this sweep to its
+// otherwise descends through a column not yet visited this sweep to its
 // mate. Rows it matches leave the queue; the rest, including the roots a
 // cancellation skipped, stay in order.
 func (r *PRRefiner) runSweep() {
-	r.stamp++
+	n, m := r.a.RowsN, r.a.ColsN
+	r.look = growInt(r.look, n)
+	copy(r.look, r.a.Ptr[:n])
+	r.arc = growInt(r.arc, n)
+	if cap(r.visit) < m {
+		r.visit = make([]bool, m)
+	}
+	r.visit = r.visit[:m]
+	clear(r.visit)
 	kept, stopped := 0, false
 	for k := 0; k < r.count; k++ {
 		s := r.queue[r.slot(k)]
@@ -243,7 +248,7 @@ func (r *PRRefiner) runSweep() {
 // it finds one, flips the matching along it.
 func (r *PRRefiner) augmentFrom(s int32) bool {
 	a, mt := r.a, r.mt
-	look, arc, visit, stamp := r.look, r.arc, r.visit, r.stamp
+	look, arc, visit := r.look, r.arc, r.visit
 	rows := append(r.rows[:0], s)
 	cols := r.cols[:0]
 	arc[s] = a.Ptr[s]
@@ -269,10 +274,10 @@ func (r *PRRefiner) augmentFrom(s int32) bool {
 		for arc[i] < a.Ptr[i+1] {
 			j := a.Idx[arc[i]]
 			arc[i]++
-			if visit[j] == stamp {
+			if visit[j] {
 				continue
 			}
-			visit[j] = stamp
+			visit[j] = true
 			i2 := mt.ColMate[j]
 			cols = append(cols, j)
 			rows = append(rows, i2)

@@ -4,130 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/gen"
-	"repro/internal/sparse"
 )
-
-// prFamilies are the inputs the push-relabel engines are held to
-// Hopcroft–Karp on: the adversarial families, rectangular shapes both
-// ways, and inputs with empty rows and columns.
-func prFamilies() map[string]*sparse.CSR {
-	return map[string]*sparse.CSR{
-		"rankdef":     gen.RankDeficient(3000, 900, 4, 11),
-		"longthin":    gen.LongThinPath(5000),
-		"grid3d":      gen.Grid3D(12, 12, 12, false),
-		"grid2d":      gen.Grid2D(50, 60),
-		"powerlaw":    gen.PowerLaw(3000, 3, 1.5, 300, 12),
-		"wide":        gen.ER(400, 900, 2000, 13),
-		"tall":        gen.ER(900, 400, 2000, 14),
-		"skewed":      gen.SkewedDegree(2000, 1500, 4, 3, 15),
-		"emptyrowcol": gen.ER(600, 500, 300, 16),
-		"allempty":    sparse.FromDense([][]int{{0, 0, 0}, {0, 0, 0}}),
-		"nocols":      {RowsN: 4, ColsN: 0, Ptr: []int{0, 0, 0, 0, 0}},
-		"zero":        {RowsN: 0, ColsN: 0, Ptr: []int{0}},
-	}
-}
-
-// runPR runs the push-relabel refiner to completion, with or without the
-// Pothen–Fan+ sweep.
-func runPR(a *sparse.CSR, init *Matching, sweep bool) (*Matching, *PRRefiner) {
-	r := NewPRRefiner(a, init)
-	r.SetSweep(sweep)
-	return r.Run(), r
-}
-
-// TestPROracleFamilies: both engines (push-relabel alone and sweep then
-// push-relabel) reach Hopcroft–Karp's size on every family from a nil, a
-// partial and an already-maximum warm start, return a valid matching,
-// leave the warm start untouched, and are deterministic.
-func TestPROracleFamilies(t *testing.T) {
-	for name, a := range prFamilies() {
-		maxm := HopcroftKarp(a, nil)
-		warm := map[string]*Matching{
-			"nil":     nil,
-			"partial": randomInit(a, 3),
-			"maximum": maxm,
-		}
-		for wname, init := range warm {
-			var initSize int
-			var initRows []int32
-			if init != nil {
-				initSize = init.Size
-				initRows = append([]int32(nil), init.RowMate...)
-			}
-			for _, sweep := range []bool{false, true} {
-				mt, r := runPR(a, init, sweep)
-				checkMatching(t, a, mt)
-				if mt.Size != maxm.Size {
-					t.Fatalf("%s/%s sweep=%v: size %d != HK %d", name, wname, sweep, mt.Size, maxm.Size)
-				}
-				if !r.Done() || r.Step(1) {
-					t.Fatalf("%s/%s sweep=%v: finished refiner not done", name, wname, sweep)
-				}
-				if init != nil {
-					if init.Size != initSize {
-						t.Fatalf("%s/%s: warm start mutated", name, wname)
-					}
-					for i, j := range initRows {
-						if init.RowMate[i] != j {
-							t.Fatalf("%s/%s: warm start row %d mutated", name, wname, i)
-						}
-					}
-				}
-				again, _ := runPR(a, init, sweep)
-				for i := range mt.RowMate {
-					if again.RowMate[i] != mt.RowMate[i] {
-						t.Fatalf("%s/%s sweep=%v: rerun differs at row %d", name, wname, sweep, i)
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestPRSweepIncremental drives the sweep engine the way the ensemble
-// does — the first Step is the sweep, later ones are bounded bid budgets —
-// and checks the matching is valid and monotone between steps, reaches
-// Hopcroft–Karp's size, and that Done/Step agree at the end. It mirrors
-// TestHKRefinerIncremental.
-func TestPRSweepIncremental(t *testing.T) {
-	cases := map[string]*sparse.CSR{
-		"er":      gen.ER(400, 400, 2000, 5),
-		"rankdef": gen.RankDeficient(600, 180, 4, 6),
-		"grid":    gen.Grid3D(8, 8, 8, false),
-	}
-	for name, a := range cases {
-		want := HopcroftKarp(a, nil).Size
-		for _, budget := range []int{7, a.RowsN} {
-			r := NewPRRefiner(a, randomInit(a, 9))
-			r.SetSweep(true)
-			prev, steps := r.Size(), 0
-			for r.Step(budget) {
-				steps++
-				if steps == 1 && r.Bids() != 0 {
-					t.Fatalf("%s: the sweep step made %d bids", name, r.Bids())
-				}
-				validRefinerMatching(t, a, r.Matching())
-				if r.Size() < prev {
-					t.Fatalf("%s: size shrank %d -> %d", name, prev, r.Size())
-				}
-				prev = r.Size()
-				if steps > 1_000_000 {
-					t.Fatalf("%s: refiner did not converge", name)
-				}
-			}
-			if !r.Done() {
-				t.Fatalf("%s: Step returned false but Done is false", name)
-			}
-			if r.Step(budget) {
-				t.Fatalf("%s: Step after done reported progress", name)
-			}
-			validRefinerMatching(t, a, r.Matching())
-			if r.Size() != want {
-				t.Fatalf("%s budget %d: incremental %d != HK %d", name, budget, r.Size(), want)
-			}
-		}
-	}
-}
 
 // TestPRCancel: a hook that fires after its first poll stops the sweep at
 // its first chunk boundary and push-relabel after its first bid budget;

@@ -70,34 +70,47 @@ func TestHKRefinerIncremental(t *testing.T) {
 	}
 }
 
-// TestPRRefinerBoundedSteps drives push-relabel in tiny step budgets and
-// checks validity, monotone size and agreement with the one-shot calls.
+// TestPRRefinerBoundedSteps drives both push-relabel engines in tiny step
+// budgets — with the sweep, the first Step is the whole Pothen–Fan+ pass
+// and makes no bids, as in the ensemble — and checks validity, monotone
+// size, Done/Step agreement and agreement with the one-shot calls.
 func TestPRRefinerBoundedSteps(t *testing.T) {
-	for _, seed := range []uint64{2, 6, 10} {
-		a := gen.ER(300, 320, 1500, seed)
+	cases := map[string]*sparse.CSR{
+		"er2":     gen.ER(300, 320, 1500, 2),
+		"er6":     gen.ER(300, 320, 1500, 6),
+		"er10":    gen.ER(300, 320, 1500, 10),
+		"rankdef": gen.RankDeficient(600, 180, 4, 6),
+		"grid":    gen.Grid3D(8, 8, 8, false),
+	}
+	for name, a := range cases {
 		want := HopcroftKarp(a, nil).Size
-
-		r := NewPRRefiner(a, nil)
-		prev, steps := 0, 0
-		for r.Step(7) {
-			steps++
-			if steps%50 == 0 {
-				validRefinerMatching(t, a, r.Matching())
+		for _, sweep := range []bool{false, true} {
+			r := NewPRRefiner(a, nil)
+			r.SetSweep(sweep)
+			prev, steps := 0, 0
+			for r.Step(7) {
+				steps++
+				if sweep && steps == 1 && r.Bids() != 0 {
+					t.Fatalf("%s: the sweep step made %d bids", name, r.Bids())
+				}
+				if steps%50 == 1 {
+					validRefinerMatching(t, a, r.Matching())
+				}
+				if r.Size() < prev {
+					t.Fatalf("%s sweep=%v: size shrank %d -> %d", name, sweep, prev, r.Size())
+				}
+				prev = r.Size()
+				if steps > 1_000_000 {
+					t.Fatalf("%s sweep=%v: refiner did not converge", name, sweep)
+				}
 			}
-			if r.Size() < prev {
-				t.Fatalf("seed %d: size shrank %d -> %d", seed, prev, r.Size())
+			if !r.Done() || r.Step(7) {
+				t.Fatalf("%s sweep=%v: Step returned false but the refiner is not done", name, sweep)
 			}
-			prev = r.Size()
-			if steps > 1_000_000 {
-				t.Fatalf("seed %d: refiner did not converge", seed)
+			validRefinerMatching(t, a, r.Matching())
+			if r.Size() != want {
+				t.Fatalf("%s sweep=%v: incremental PR %d != HK %d", name, sweep, r.Size(), want)
 			}
-		}
-		if !r.Done() {
-			t.Fatalf("seed %d: Step returned false but Done is false", seed)
-		}
-		validRefinerMatching(t, a, r.Matching())
-		if r.Size() != want {
-			t.Fatalf("seed %d: incremental PR %d != HK %d", seed, r.Size(), want)
 		}
 	}
 }

@@ -58,7 +58,7 @@ func NewHKRefinerWs(a *sparse.CSR, init *Matching, ws *Workspace) *HKRefiner {
 
 // NewPRRefinerWs is NewPRRefiner on a reusable Workspace, with the same
 // reuse contract as NewHKRefinerWs. at is a's transpose, which the global
-// relabel walks; it is only read.
+// relabel walks; it is only read, and nil builds it at the first relabel.
 func NewPRRefinerWs(a, at *sparse.CSR, init *Matching, ws *Workspace) *PRRefiner {
 	n, m := a.RowsN, a.ColsN
 	r := &ws.pr
@@ -66,12 +66,10 @@ func NewPRRefinerWs(a, at *sparse.CSR, init *Matching, ws *Workspace) *PRRefiner
 	r.mt = ws.matching(n, m, init)
 	r.limit = int32(min(n, m) + 1)
 	r.psi = growInt32(r.psi, m)
-	r.queue = growInt32(r.queue, n)
-	r.seen = growInt32(r.seen, n)
-	for i := range r.seen {
-		r.seen[i] = 0
+	for j := range r.psi {
+		r.psi[j] = 0
 	}
-	r.epoch = 0
+	r.queue = growInt32(r.queue, n)
 	r.head, r.count = 0, 0
 	for i := 0; i < n; i++ {
 		if r.mt.RowMate[i] == NIL && a.Degree(i) > 0 {
@@ -79,17 +77,9 @@ func NewPRRefinerWs(a, at *sparse.CSR, init *Matching, ws *Workspace) *PRRefiner
 			r.count++
 		}
 	}
-	r.bids, r.since, r.stale = 0, 0, true
 	r.every = max((n+m)/4, 1)
-	r.sweep = false
-	r.look = growInt(r.look, n)
-	r.arc = growInt(r.arc, n)
-	copy(r.look, a.Ptr[:n])
-	r.visit = growInt32(r.visit, m)
-	for j := range r.visit {
-		r.visit[j] = 0
-	}
-	r.stamp = 0
+	r.bids, r.since, r.stale = 0, -r.every, false
+	r.fifo, r.sweep = false, false
 	return r
 }
 
