@@ -1,6 +1,7 @@
 package bipartite
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 	"testing/quick"
@@ -97,6 +98,9 @@ func TestSprankCached(t *testing.T) {
 	}
 }
 
+// TestJumpStartReducesWork gates MaximumMatchingFrom, the introduction's
+// jump-start call: from any warm start it reaches the maximum (Sprank),
+// reports the warm start's free rows, and leaves the warm start as it was.
 func TestJumpStartReducesWork(t *testing.T) {
 	g := FullyIndecomposable(3000, 2, 5)
 	res, err := g.TwoSidedMatch(&Options{ScalingIterations: 5, Seed: 3})
@@ -108,11 +112,47 @@ func TestJumpStartReducesWork(t *testing.T) {
 	if full.Size != warm.Size {
 		t.Fatalf("warm-start result %d != cold %d", warm.Size, full.Size)
 	}
+	if freeCold != g.Rows() {
+		t.Fatalf("cold start: %d free rows, want all %d", freeCold, g.Rows())
+	}
 	if freeWarm >= freeCold {
 		t.Fatalf("jump-start should reduce free rows: warm %d cold %d", freeWarm, freeCold)
 	}
 	if err := g.ValidateMatching(warm); err != nil {
 		t.Fatal(err)
+	}
+
+	// A partial diagonal: 4 of 10 rows matched leaves 6 free.
+	diag := Banded(10, 0)
+	mates := []int32{0, 1, 2, 3, -1, -1, -1, -1, -1, -1}
+	part := &Matching{RowMate: mates, ColMate: append([]int32(nil), mates...), Size: 4}
+	if mt, free := diag.MaximumMatchingFrom(part); free != 6 || mt.Size != 10 {
+		t.Fatalf("partial diagonal: free %d size %d, want 6 and 10", free, mt.Size)
+	}
+	if mt, free := diag.MaximumMatchingFrom(nil); free != 10 || mt.Size != 10 {
+		t.Fatalf("empty diagonal start: free %d size %d, want 10 and 10", free, mt.Size)
+	}
+
+	// A long-path mesh: every heuristic warm start completes to Sprank,
+	// and the warm start is not modified.
+	mesh := Grid3D(12, 12, 12, false)
+	for _, alg := range []Algorithm{AlgCheapVertex, AlgKarpSipser, AlgOneSided, AlgTwoSided} {
+		res, err := mesh.Match(Spec{Algorithm: alg, Seed: 7}, &Options{ScalingIterations: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := cloneMatching(res.Matching)
+		mt, free := mesh.MaximumMatchingFrom(res.Matching)
+		if mt.Size != mesh.Sprank() {
+			t.Fatalf("%v warm start: size %d want sprank %d", alg, mt.Size, mesh.Sprank())
+		}
+		if free != mesh.Rows()-before.Size {
+			t.Fatalf("%v warm start: %d free rows, want %d", alg, free, mesh.Rows()-before.Size)
+		}
+		if err := mesh.ValidateMatching(mt); err != nil {
+			t.Fatalf("%v: %v", alg, err)
+		}
+		cmpMates(t, fmt.Sprintf("%v warm start", alg), res.Matching, before)
 	}
 }
 
@@ -155,7 +195,11 @@ func TestScaleDirect(t *testing.T) {
 
 func TestKarpSipserBaseline(t *testing.T) {
 	g := HardForKarpSipser(320, 16)
-	mt, st := g.KarpSipser(1)
+	ks, err := g.Match(Spec{Algorithm: AlgKarpSipser, Seed: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mt, st := ks.Matching, *ks.KSStats
 	if err := g.ValidateMatching(mt); err != nil {
 		t.Fatal(err)
 	}
@@ -177,8 +221,8 @@ func TestKarpSipserBaseline(t *testing.T) {
 func TestCheapBaselines(t *testing.T) {
 	g := RandomER(1000, 1000, 3, 11)
 	sp := g.Sprank()
-	e := g.CheapRandomEdge(3)
-	v := g.CheapRandomVertex(3)
+	e := specMatching(t, g, Spec{Algorithm: AlgCheapEdge, Seed: 3}, nil)
+	v := specMatching(t, g, Spec{Algorithm: AlgCheapVertex, Seed: 3}, nil)
 	if err := g.ValidateMatching(e); err != nil {
 		t.Fatal(err)
 	}

@@ -13,84 +13,16 @@ import (
 	"repro/internal/watchdog"
 )
 
-// Op selects the heuristic a batched matching request runs.
-//
-// Deprecated: Op predates the declarative Spec type and survives as a
-// compatibility shim — set Request.Spec instead, which additionally
-// carries refinement, ensembles and early-stop targets. An Op is honored
-// only when Request.Spec.Algorithm is unset (zero).
-type Op int
-
-const (
-	// OpTwoSided runs the TwoSidedMatch heuristic (the default).
-	OpTwoSided Op = iota
-	// OpOneSided runs the OneSidedMatch heuristic.
-	OpOneSided
-	// OpKarpSipser runs the classic sequential Karp–Sipser baseline.
-	OpKarpSipser
-)
-
-// String returns the wire name of the operation, as accepted by
-// cmd/matchserve.
-func (op Op) String() string {
-	switch op {
-	case OpTwoSided:
-		return "twosided"
-	case OpOneSided:
-		return "onesided"
-	case OpKarpSipser:
-		return "karpsipser"
-	default:
-		return "unknown"
-	}
-}
-
-// Algorithm converts the deprecated Op into its Spec equivalent.
-func (op Op) Algorithm() Algorithm {
-	switch op {
-	case OpOneSided:
-		return AlgOneSided
-	case OpKarpSipser:
-		return AlgKarpSipser
-	default:
-		return AlgTwoSided
-	}
-}
-
-// ParseOp converts a wire name back into an Op.
-//
-// Deprecated: use ParseAlgorithm, which also understands the algorithms
-// Op never covered.
-func ParseOp(s string) (Op, error) {
-	switch s {
-	case "twosided", "":
-		return OpTwoSided, nil
-	case "onesided":
-		return OpOneSided, nil
-	case "karpsipser":
-		return OpKarpSipser, nil
-	default:
-		return 0, errors.New("bipartite: unknown op " + s)
-	}
-}
-
-// Request is one matching request of a batch: which graph to match, under
-// which declarative Spec (the same request type Matcher.Run, Graph.Match
-// and the cmd/matchserve wire format execute).
+// Request is one matching request for MatchBatch or a Server: the graph
+// to match and the Spec to run on it — the same declarative type
+// Matcher.Run, Graph.Match and the cmd/matchserve wire format execute,
+// and the only way to choose an algorithm or seed — plus the deadline
+// and, for a Server, the priority and client that admission reads.
 type Request struct {
 	Graph *Graph
 	// Spec is the declarative matching request: algorithm, seed (0 means
 	// the batch Options' seed), best-of-K ensemble, refinement, target.
 	Spec Spec
-	// Op is the deprecated pre-Spec algorithm selector, honored only when
-	// Spec.Algorithm is unset (zero, AlgTwoSided).
-	//
-	// Deprecated: set Spec.Algorithm.
-	Op Op
-	// Seed is the deprecated pre-Spec seed field, used when Spec.Seed is 0.
-	//
-	// Deprecated: set Spec.Seed.
-	Seed uint64
 	// Ctx, when non-nil, carries the request's deadline and cancellation:
 	// an already-expired context is answered with its error before any
 	// kernel runs, and a context that expires mid-run aborts the scaling,
@@ -114,60 +46,16 @@ type Request struct {
 	Client string
 }
 
-// effectiveSpec resolves the request's Spec, folding the deprecated Op and
-// Seed fields in: Op is consulted only when Spec.Algorithm is unset, and
-// Seed only when Spec.Seed is 0 — so legacy requests behave exactly as
-// before the Spec redesign and Spec-carrying requests win outright.
-func (r *Request) effectiveSpec() Spec {
-	s := r.Spec
-	if s.Algorithm == AlgTwoSided && r.Op != OpTwoSided {
-		s.Algorithm = r.Op.Algorithm()
-	}
-	if s.Seed == 0 {
-		s.Seed = r.Seed
-	}
-	return s
-}
-
 // Response is the outcome of one batched request. The Matching is owned
 // by the caller (copied out of the serving workspaces), so it stays valid
-// after the next batch. The provenance fields mirror MatchResult's: how
-// the Spec's ensemble unfolded and what refinement added — cmd/matchserve
-// forwards them onto the wire.
+// after the next batch. The embedded Provenance is the engine's, field for
+// field — how the Spec's ensemble unfolded, what refinement added, what
+// load shedding gave up and the auction's weight and dual bound — and
+// cmd/matchserve forwards it onto the wire.
 type Response struct {
 	Matching *Matching
-	// WinnerSeed is the seed of the candidate that produced Matching
-	// (for refined ensembles, the refinement's warm-start candidate); for
-	// single runs, the resolved base seed.
-	WinnerSeed uint64
-	// Candidates is the number of ensemble members actually consumed — 1
-	// for single runs, possibly fewer than Spec.Ensemble when a target or
-	// the refinement stopped the sweep early.
-	Candidates int
-	// HeuristicSize is the winning candidate's cardinality before
-	// refinement.
-	HeuristicSize int
-	// Refined reports whether a refinement stage ran (Spec.Refine was not
-	// RefineNone).
-	Refined bool
-	// RefinedWith is the refinement engine that actually ran (RefineExact
-	// auto-selects the graft engine on large instances); RefineNone when no
-	// refinement ran.
-	RefinedWith Refinement
-	// Degraded, when non-empty, records the self-protection downgrades
-	// the engine applied before running the Spec (e.g.
-	// "refine:exact->none,best_of:8->2"): the response was computed under
-	// load shedding and carries the heuristic's quality bound instead of
-	// whatever the full Spec guaranteed. Empty means the Spec ran exactly
-	// as requested.
-	Degraded string
-	// MatchedWeight, Epsilon and Rounds are the AlgAuction provenance
-	// (see the MatchResult fields of the same names); zero for the
-	// cardinality algorithms.
-	MatchedWeight float64
-	Epsilon       float64
-	Rounds        int
-	Err           error
+	Provenance
+	Err error
 }
 
 // ErrNilGraph reports a batched request without a graph.
@@ -437,21 +325,21 @@ func (e *batchEngine) run(reqs []Request, out []Response) {
 	e.reqs, e.out = nil, nil
 }
 
-// serve runs request i on slot w's arena: the effective Spec is resolved
-// and validated first, downgraded per the watchdog's shedding level (the
-// degradation ladder trades the sprank guarantee for the heuristic bound
-// before any work is refused), an expired context is answered before any
-// kernel runs, a live one is armed as the arena's cancellation hook, the
-// scaling comes from the shared per-graph cell, and the Spec engine does
-// the rest. Completed requests feed the service-time EWMAs behind the
-// Server's would-miss admission check.
+// serve runs request i on slot w's arena: the Spec is validated first,
+// downgraded per the watchdog's shedding level (the degradation ladder
+// trades the sprank guarantee for the heuristic bound before any work is
+// refused), an expired context is answered before any kernel runs, a live
+// one is armed as the arena's cancellation hook, the scaling comes from
+// the shared per-graph cell, and the Spec engine does the rest. Completed
+// requests feed the service-time EWMAs behind the Server's would-miss
+// admission check.
 func (e *batchEngine) serve(w, i int) {
 	req := e.reqs[i]
 	if req.Graph == nil {
 		e.out[i] = Response{Err: ErrNilGraph}
 		return
 	}
-	spec := req.effectiveSpec()
+	spec := req.Spec
 	if err := spec.Validate(); err != nil {
 		e.out[i] = Response{Err: err}
 		return
@@ -517,18 +405,7 @@ func (e *batchEngine) serve(w, i int) {
 	// Copy out of the arena: the response must survive the slot's next
 	// request. The provenance rides along so the serving layers can put
 	// it on the wire.
-	e.out[i] = Response{
-		Matching:      cloneMatching(res.Matching),
-		WinnerSeed:    res.WinnerSeed,
-		Candidates:    res.Candidates,
-		HeuristicSize: res.HeuristicSize,
-		Refined:       res.Refined,
-		RefinedWith:   res.RefinedWith,
-		Degraded:      degraded,
-		MatchedWeight: res.MatchedWeight,
-		Epsilon:       res.Epsilon,
-		Rounds:        res.Rounds,
-	}
+	e.out[i] = Response{Matching: cloneMatching(res.Matching), Provenance: res.Provenance}
 }
 
 func cloneMatching(mt *Matching) *Matching {

@@ -373,12 +373,12 @@ func BenchmarkBaselineHeuristics(b *testing.B) {
 			ks.Run(a, at, uint64(i)+1)
 		}
 	})
-	b.Run("CheapRandomEdge", func(b *testing.B) {
+	b.Run("CheapEdge", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cheap.RandomEdge(a, uint64(i)+1)
 		}
 	})
-	b.Run("CheapRandomVertex", func(b *testing.B) {
+	b.Run("CheapVertex", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			cheap.RandomVertex(a, uint64(i)+1)
 		}

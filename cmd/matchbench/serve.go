@@ -69,7 +69,7 @@ func serve(cfg bench.Config) []bench.PerfRecord {
 		matcher := func() {
 			m := g.NewMatcher(opt)
 			for k := 0; k < requests; k++ {
-				res, err := m.TwoSided(cfg.Seed + uint64(k))
+				res, err := m.Run(bipartite.Spec{Algorithm: bipartite.AlgTwoSided, Seed: cfg.Seed + uint64(k)})
 				if err != nil {
 					panic(err)
 				}

@@ -24,7 +24,8 @@
 // declarative Spec engine and composable with
 // -refine/-best-of/-target/-sequential (the auction takes -best-of but
 // rejects -refine/-target: its objective is weight, not cardinality) —
-// plus the direct exact solvers hk (Hopcroft-Karp) and mc21.
+// plus the direct exact solvers hk (Hopcroft-Karp) and pf (a Pothen-Fan+
+// sweep then push-relabel, the MaximumMatchingFrom engine).
 package main
 
 import (
@@ -43,7 +44,7 @@ func main() {
 	}
 	var (
 		in      = flag.String("in", "", "input MatrixMarket file (required)")
-		alg     = flag.String("alg", "twosided", "algorithm: onesided|twosided|ks|ksp|cheap-edge|cheap-vertex|auction|hk|mc21")
+		alg     = flag.String("alg", "twosided", "algorithm: onesided|twosided|ks|ksp|cheap-edge|cheap-vertex|auction|hk|pf")
 		iters   = flag.Int("iters", 5, "Sinkhorn-Knopp scaling iterations (one/two-sided)")
 		workers = flag.Int("workers", 0, "worker count; 0 = all CPUs")
 		seed    = flag.Uint64("seed", 1, "RNG seed")
@@ -72,7 +73,7 @@ func main() {
 	var mt *bipartite.Matching
 	start := time.Now()
 	switch *alg {
-	case "hk", "mc21":
+	case "hk", "pf":
 		// Direct exact solvers: no spec fields apply.
 		if *refine != "none" || *bestOf > 1 || *target != 0 || *seq {
 			fmt.Fprintf(os.Stderr, "matchtool: -refine/-best-of/-target/-sequential do not apply to %s (already exact)\n", *alg)

@@ -17,10 +17,12 @@
 //     Karp–Sipser kernel; conjectured (and experimentally confirmed)
 //     ≥ 2(1 − ρ) ≈ 0.866 of the maximum, where ρ solves x·eˣ = 1.
 //
-// Exact algorithms (Hopcroft–Karp, MC21), the classic Karp–Sipser
-// heuristic, cheap 1/2-approximation baselines, Dulmage–Mendelsohn
-// decomposition, Matrix Market I/O and a collection of workload
-// generators round out the toolkit.
+// Exact algorithms (Hopcroft–Karp; a Pothen–Fan+ sweep followed by
+// push-relabel, which MaximumMatchingFrom and RefineExact run from a warm
+// start; MC21 as the test reference), the classic Karp–Sipser heuristic,
+// cheap 1/2-approximation baselines, Dulmage–Mendelsohn decomposition,
+// Matrix Market I/O and a collection of workload generators round out the
+// toolkit.
 //
 // # Quick start
 //
@@ -82,11 +84,14 @@
 //     /match/batch, and reports the result's provenance ("winner_seed",
 //     "candidates_run", "heuristic_size", "refined") in every response.
 //
-// The legacy entry points — OneSidedMatch, TwoSidedMatch, KarpSipser,
-// KarpSipserParallel, CheapRandomEdge/Vertex, and the batch layer's
-// deprecated Request.Op — survive as compatibility shims: each is a thin
-// wrapper over the equivalent Spec and returns bit-identical results at
-// the same options and seed (gated by the Spec conformance suite).
+// The two paper-named entry points, OneSidedMatch and TwoSidedMatch
+// (Algorithms 2 and 3), are Graph.Match with the matching Spec; every
+// other algorithm — Karp–Sipser, its parallel variant, the cheap
+// baselines, the auction — is reached through a Spec alone. Every run
+// reports its Provenance (winner seed, candidates, heuristic size,
+// refinement, degradation and the auction's weight, slack, rounds and
+// dual bound), declared once and embedded in both MatchResult and the
+// batch layer's Response.
 //
 // Ensemble: K consumes K candidate seeds strictly in seed order over ONE
 // shared scaling and keeps the largest matching, ties broken toward the
@@ -163,8 +168,9 @@
 // |M|·ε_abs of the achieved weight — so MatchedWeight/DualBound is a
 // per-run quality certificate at any instance size, no exact solve
 // needed. Provenance (MatchedWeight, Epsilon, Rounds, DualBound) flows
-// through MatchBatch Responses and cmd/matchserve's "matched_weight",
-// "epsilon" and "rounds" JSON fields. Pattern graphs degrade gracefully:
+// through MatchBatch and Server Responses; cmd/matchserve forwards the
+// first three as its "matched_weight", "epsilon" and "rounds" JSON
+// fields. Pattern graphs degrade gracefully:
 // every edge weighs 1.0 and the auction maximizes cardinality.
 //
 // The auction composes with the Spec machinery it shares with the
@@ -190,7 +196,7 @@
 //
 // # Sessions and serving
 //
-// The one-shot calls are thin wrappers over a Matcher, a reusable session
+// Graph.Match runs its Spec on a throwaway Matcher, a reusable session
 // bound to one graph. A Matcher caches the transpose and the
 // (seed-independent) scaling and owns preallocated workspaces for every
 // pipeline stage, so repeated calls on the same graph — seed sweeps,
@@ -200,10 +206,10 @@
 //
 //	m := g.NewMatcher(&bipartite.Options{ScalingIterations: 5})
 //	for seed := uint64(1); seed <= 100; seed++ {
-//		res, _ := m.TwoSided(seed)   // no rescaling, no reallocation
-//		consume(res.Matching)        // valid until the next call on m
+//		res, _ := m.Run(bipartite.Spec{Seed: seed}) // no rescaling, no reallocation
+//		consume(res.Matching)                      // valid until the next call on m
 //	}
-//	m.Reset(next)                        // rebind, reusing the buffers
+//	m.Reset(next) // rebind, reusing the buffers
 //
 // Prefer a Matcher over one-shot calls whenever the same graph (or a
 // stream of same-shaped graphs) is matched more than once; results alias
@@ -342,12 +348,10 @@
 // ServerStats counts shed, rate-limited, would-miss and degraded
 // requests.
 //
-// Callers that batch through MatchBatch without running a Server get the
-// same protection from a Batcher: NewBatcher wraps the batch engine with
-// an optional watchdog (BatcherConfig.Watchdog) and applies the
-// identical priority shed rules and degradation ladder per batch, so
-// embedding applications under mutation or query load shed and degrade
-// exactly like the serving path does.
+// The shed rules and the degradation ladder live in the Server alone:
+// Server.MatchBatch applies them per request and answers shed requests
+// in place, so embedding applications that want protection batch through
+// a Server. Package-level MatchBatch has no admission stage.
 //
 // # Cluster serving
 //

@@ -61,7 +61,7 @@ func TestPushRelabelAPI(t *testing.T) {
 
 func TestKarpSipserParallelAPI(t *testing.T) {
 	g := RandomER(10000, 10000, 3, 9)
-	mt := g.KarpSipserParallel(3, 8)
+	mt := specMatching(t, g, Spec{Algorithm: AlgKarpSipserParallel, Seed: 3}, &Options{Workers: 8})
 	if err := g.ValidateMatching(mt); err != nil {
 		t.Fatal(err)
 	}
@@ -146,10 +146,9 @@ func TestHeuristicHierarchyOnHardInstance(t *testing.T) {
 	// < TwoSided on the adversarial family, with exact on top.
 	g := HardForKarpSipser(640, 16)
 	sp := g.Sprank()
-	cheapQ := float64(g.CheapRandomEdge(1).Size) / float64(sp)
-	ksMt, _ := g.KarpSipser(1)
-	ksQ := float64(ksMt.Size) / float64(sp)
-	ksParQ := float64(g.KarpSipserParallel(1, 8).Size) / float64(sp)
+	cheapQ := float64(specMatching(t, g, Spec{Algorithm: AlgCheapEdge, Seed: 1}, nil).Size) / float64(sp)
+	ksQ := float64(specMatching(t, g, Spec{Algorithm: AlgKarpSipser, Seed: 1}, nil).Size) / float64(sp)
+	ksParQ := float64(specMatching(t, g, Spec{Algorithm: AlgKarpSipserParallel, Seed: 1}, &Options{Workers: 8}).Size) / float64(sp)
 	two, err := g.TwoSidedMatch(&Options{ScalingIterations: 10, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -197,11 +197,25 @@ func (g *Graph) MaximumMatchingPushRelabel(init *Matching) *Matching {
 	return exact.NewPRRefinerWs(g.a, g.transpose(), init, &exact.Workspace{}).Run()
 }
 
-// MaximumMatchingFrom completes the given partial matching to a maximum
-// one (MC21 augmentation) and reports how many rows the warm start had
-// left free — the jump-start metric of the introduction.
+// MaximumMatchingFrom completes the given partial matching (nil means the
+// empty one) to a maximum one and reports how many rows the warm start had
+// left free — the jump-start metric of the introduction. It runs the
+// sequential engine RefineExact uses below its graft threshold: one
+// Pothen–Fan+ sweep, then push-relabel with global relabeling for any rows
+// still free. init is not modified.
 func (g *Graph) MaximumMatchingFrom(init *Matching) (*Matching, int) {
-	return exact.Augment(g.a, init)
+	free := g.Rows()
+	if init != nil {
+		free = 0
+		for _, c := range init.RowMate {
+			if c == exact.NIL {
+				free++
+			}
+		}
+	}
+	pr := exact.NewPRRefinerWs(g.a, g.transpose(), init, &exact.Workspace{})
+	pr.SetSweep(true)
+	return pr.Run(), free
 }
 
 // Sprank returns the maximum matching cardinality (structural rank),

@@ -4,10 +4,9 @@ import "repro/internal/sparse"
 
 // MC21 computes a maximum matching with row-by-row augmenting DFS plus the
 // classic cheap-assignment lookahead (Duff's MC21 algorithm). It is the
-// second independent exact implementation, used to cross-check
-// Hopcroft–Karp, and — because it augments one free row at a time — it is
-// the natural consumer of a warm-start matching: only rows left unmatched
-// by the heuristic trigger a search.
+// second independent exact implementation, kept as the reference the
+// oracle, cover and exact tests cross-check the other engines against.
+// From a warm start only the rows init left unmatched trigger a search.
 func MC21(a *sparse.CSR, init *Matching) *Matching {
 	n, m := a.RowsN, a.ColsN
 	mt := NewMatching(n, m)
@@ -103,20 +102,4 @@ func MC21(a *sparse.CSR, init *Matching) *Matching {
 		}
 	}
 	return mt
-}
-
-// Augment completes an arbitrary (possibly partial) matching to a maximum
-// one using MC21 and reports how many augmenting-path searches were needed
-// (the number of rows that were still free). This quantifies the value of
-// a heuristic jump-start.
-func Augment(a *sparse.CSR, init *Matching) (mt *Matching, freeRows int) {
-	if init == nil {
-		init = NewMatching(a.RowsN, a.ColsN)
-	}
-	for i := 0; i < a.RowsN; i++ {
-		if init.RowMate[i] == NIL {
-			freeRows++
-		}
-	}
-	return MC21(a, init), freeRows
 }

@@ -26,6 +26,17 @@ func cmpMates(t *testing.T, what string, got, want *Matching) {
 	}
 }
 
+// specMatching runs spec one-shot on g and returns its matching, failing
+// the test on error.
+func specMatching(t *testing.T, g *Graph, spec Spec, opt *Options) *Matching {
+	t.Helper()
+	res, err := g.Match(spec, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Matching
+}
+
 func cmpScalings(t *testing.T, what string, got, want *Scaling) {
 	t.Helper()
 	if got.Iterations != want.Iterations ||
@@ -75,7 +86,7 @@ func TestMatcherBitIdenticalToOneShot(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := m.TwoSided(seed)
+				got, err := m.Run(Spec{Algorithm: AlgTwoSided, Seed: seed})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -93,7 +104,7 @@ func TestMatcherBitIdenticalToOneShot(t *testing.T) {
 				// OneSided's winners are scheduling-dependent above one
 				// worker too; its size is pinned by the deterministic
 				// chosen-column set.
-				gotOne, err := m.OneSided(seed)
+				gotOne, err := m.Run(Spec{Algorithm: AlgOneSided, Seed: seed})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -121,7 +132,7 @@ func TestMatcherSeedZeroDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := g.NewMatcher(opt).TwoSided(0)
+	got, err := g.NewMatcher(opt).Run(Spec{Algorithm: AlgTwoSided})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,7 +163,7 @@ func TestMatcherResetReuse(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := m.TwoSided(0)
+			got, err := m.Run(Spec{Algorithm: AlgTwoSided})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -188,16 +199,26 @@ func TestMatcherScaleCachedAcrossCalls(t *testing.T) {
 	cmpScalings(t, "cached scaling", sc1, want)
 
 	// Karp–Sipser variants on a session: deterministic and valid.
-	mt1, st1 := m.KarpSipser(3)
-	if err := g.ValidateMatching(mt1); err != nil {
+	ks, err := m.Run(Spec{Algorithm: AlgKarpSipser, Seed: 3})
+	if err != nil {
 		t.Fatal(err)
 	}
-	wantKS, wantSt := g.KarpSipser(3)
-	if mt1.Size != wantKS.Size || st1 != wantSt {
-		t.Fatalf("session KS (%d, %+v) want (%d, %+v)", mt1.Size, st1, wantKS.Size, wantSt)
+	if err := g.ValidateMatching(ks.Matching); err != nil {
+		t.Fatal(err)
 	}
-	mtp := m.KarpSipserParallel(3)
-	if err := g.ValidateMatching(mtp); err != nil {
+	want1, err := g.Match(Spec{Algorithm: AlgKarpSipser, Seed: 3}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ks.Matching.Size != want1.Matching.Size || *ks.KSStats != *want1.KSStats {
+		t.Fatalf("session KS (%d, %+v) want (%d, %+v)", ks.Matching.Size, *ks.KSStats,
+			want1.Matching.Size, *want1.KSStats)
+	}
+	ksp, err := m.Run(Spec{Algorithm: AlgKarpSipserParallel, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := g.ValidateMatching(ksp.Matching); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -214,7 +235,7 @@ func TestMatcherSteadyStateAllocs(t *testing.T) {
 	pool := NewPool(1)
 	defer pool.Close()
 	m := g.NewMatcher(&Options{ScalingIterations: 5, Workers: 1, Pool: pool})
-	if _, err := m.TwoSided(1); err != nil { // warm: scaling + first growth
+	if _, err := m.Run(Spec{Algorithm: AlgTwoSided, Seed: 1}); err != nil { // warm: scaling + first growth
 		t.Fatal(err)
 	}
 
@@ -227,26 +248,27 @@ func TestMatcherSteadyStateAllocs(t *testing.T) {
 	}
 	gate("TwoSided", func() {
 		seed++
-		if _, err := m.TwoSided(seed); err != nil {
+		if _, err := m.Run(Spec{Algorithm: AlgTwoSided, Seed: seed}); err != nil {
 			t.Fatal(err)
 		}
 	})
 	gate("OneSided", func() {
 		seed++
-		if _, err := m.OneSided(seed); err != nil {
+		if _, err := m.Run(Spec{Algorithm: AlgOneSided, Seed: seed}); err != nil {
 			t.Fatal(err)
 		}
 	})
-	m.KarpSipser(1) // warm the sequential workspace
-	gate("KarpSipser", func() {
-		seed++
-		m.KarpSipser(seed)
-	})
-	m.KarpSipserParallel(1) // warm the approx session
-	gate("KarpSipserParallel", func() {
-		seed++
-		m.KarpSipserParallel(seed)
-	})
+	for _, alg := range []Algorithm{AlgKarpSipser, AlgKarpSipserParallel} {
+		if _, err := m.Run(Spec{Algorithm: alg, Seed: 1}); err != nil { // warm the KS workspace
+			t.Fatal(err)
+		}
+		gate(alg.String(), func() {
+			seed++
+			if _, err := m.Run(Spec{Algorithm: alg, Seed: seed}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 
 	// Refining Specs ride the session's refinement workspace (refineWs), so
 	// repeated jump-start runs — including the ensemble+refine serving
@@ -288,13 +310,13 @@ func TestMatcherSteadyStateAllocsParallel(t *testing.T) {
 	pool := NewPool(4)
 	defer pool.Close()
 	m := g.NewMatcher(&Options{ScalingIterations: 5, Workers: 4, Pool: pool})
-	if _, err := m.TwoSided(1); err != nil {
+	if _, err := m.Run(Spec{Algorithm: AlgTwoSided, Seed: 1}); err != nil {
 		t.Fatal(err)
 	}
 	seed := uint64(0)
 	if allocs := testing.AllocsPerRun(20, func() {
 		seed++
-		if _, err := m.TwoSided(seed); err != nil {
+		if _, err := m.Run(Spec{Algorithm: AlgTwoSided, Seed: seed}); err != nil {
 			t.Fatal(err)
 		}
 	}); allocs > 2 {

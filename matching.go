@@ -48,8 +48,8 @@ type Options struct {
 
 // Pool is a handle to a persistent set of parallel workers that matching
 // calls can share; see Options.Pool. It wraps the internal loop runtime's
-// pool so one warm worker set serves any number of Scale / OneSidedMatch /
-// TwoSidedMatch / KarpSipserParallel calls, concurrently if desired.
+// pool so one warm worker set serves any number of Scale / Match /
+// Matcher.Run calls, concurrently if desired.
 type Pool struct {
 	p *par.Pool
 }
@@ -176,7 +176,9 @@ func (g *Graph) Scale(opt *Options) (*Scaling, error) {
 }
 
 // MatchResult is the outcome of a heuristic matching run executed by the
-// Spec engine (Matcher.Run and everything delegating to it).
+// Spec engine (Matcher.Run and everything delegating to it). Matching,
+// Scaling and KSStats alias the session workspace; the embedded
+// Provenance is plain data and is what Response carries over.
 type MatchResult struct {
 	// Matching is the computed matching (always valid).
 	Matching *Matching
@@ -186,6 +188,16 @@ type MatchResult struct {
 	// KSStats reports the Karp–Sipser phase statistics when Algorithm was
 	// AlgKarpSipser (the winner's, for ensembles); nil otherwise.
 	KSStats *KarpSipserStats
+	Provenance
+}
+
+// Provenance records how the Spec engine arrived at a matching: how the
+// ensemble unfolded, what refinement added, what the serving layer gave
+// up under load and, for the auction, the weight and its certificate. It
+// is declared once and embedded in both MatchResult and Response, so the
+// batch and serving layers forward every field without copying them one
+// by one.
+type Provenance struct {
 	// Candidates is the number of ensemble members actually consumed — 1
 	// for single runs, possibly fewer than Spec.Ensemble when Spec.Target
 	// or the ensemble-aware refinement stopped the sweep early.
@@ -209,11 +221,13 @@ type MatchResult struct {
 	// engine on a large instance. RefineNone when no refinement ran;
 	// cmd/matchserve surfaces it as "refined_with".
 	RefinedWith Refinement
-	// Degraded, when non-empty, records the self-protection downgrades a
-	// serving layer applied to the Spec before this run (see
-	// Response.Degraded for the marker grammar). Direct Matcher.Run and
-	// Graph.Match calls execute exactly the Spec given and always leave it
-	// empty.
+	// Degraded, when non-empty, records the self-protection downgrades
+	// the serving layer applied to the Spec before this run (e.g.
+	// "refine:exact->none,best_of:8->2"): the matching was computed under
+	// load shedding and carries the heuristic's quality bound instead of
+	// whatever the full Spec guaranteed. Direct Matcher.Run and
+	// Graph.Match calls execute exactly the Spec given and always leave
+	// it empty.
 	Degraded string
 	// MatchedWeight is the total weight of Matching when Algorithm was
 	// AlgAuction (1.0 per edge on pattern graphs, so it equals Size
@@ -240,9 +254,9 @@ type MatchResult struct {
 // with last-write-wins conflict semantics. Guaranteed expected quality
 // ≥ 1 − 1/e ≈ 0.632 on matrices with total support.
 //
-// It is a compatibility wrapper over Graph.Match with
-// Spec{Algorithm: AlgOneSided}; callers that match the same graph
-// repeatedly (ensembles, servers) create a Matcher and reuse it.
+// It is Graph.Match with Spec{Algorithm: AlgOneSided}; callers that
+// match the same graph repeatedly (ensembles, servers) create a Matcher
+// and reuse it.
 func (g *Graph) OneSidedMatch(opt *Options) (*MatchResult, error) {
 	return g.Match(Spec{Algorithm: AlgOneSided}, opt)
 }
@@ -253,56 +267,11 @@ func (g *Graph) OneSidedMatch(opt *Options) (*MatchResult, error) {
 // exactly. Conjectured quality ≥ 2(1 − ρ) ≈ 0.866 on matrices with total
 // support.
 //
-// It is a compatibility wrapper over Graph.Match with
-// Spec{Algorithm: AlgTwoSided}; callers that match the same graph
-// repeatedly (ensembles, servers) create a Matcher and reuse it.
+// It is Graph.Match with Spec{Algorithm: AlgTwoSided}; callers that
+// match the same graph repeatedly (ensembles, servers) create a Matcher
+// and reuse it.
 func (g *Graph) TwoSidedMatch(opt *Options) (*MatchResult, error) {
 	return g.Match(Spec{Algorithm: AlgTwoSided}, opt)
-}
-
-// KarpSipser runs the classic sequential Karp–Sipser heuristic (the
-// Table 1 baseline) and reports its phase statistics. A compatibility
-// wrapper over the Spec engine (Spec{Algorithm: AlgKarpSipser}).
-func (g *Graph) KarpSipser(seed uint64) (*Matching, KarpSipserStats) {
-	return g.NewMatcher(&Options{Seed: seed}).KarpSipser(0)
-}
-
-// KarpSipserParallel runs an Azad-et-al-style multithreaded Karp–Sipser
-// on the full graph (the paper's reference [4]): fast and lock-free but
-// without a quality guarantee, since newly arising degree-one vertices are
-// not tracked. Provided as the parallel baseline that TwoSidedMatch's
-// exact-on-1-out kernel is designed to improve upon.
-func (g *Graph) KarpSipserParallel(seed uint64, workers int) *Matching {
-	return g.KarpSipserParallelPool(seed, workers, nil)
-}
-
-// KarpSipserParallelPool is KarpSipserParallel running on a caller-owned
-// worker pool (nil means the default pool). A compatibility wrapper over
-// the Spec engine (Spec{Algorithm: AlgKarpSipserParallel}).
-func (g *Graph) KarpSipserParallelPool(seed uint64, workers int, pool *Pool) *Matching {
-	m := g.NewMatcher(&Options{Seed: seed, Workers: workers, Pool: pool})
-	return m.KarpSipserParallel(0)
-}
-
-// CheapRandomEdge runs the §2.1 random-edge-visit 1/2-approximation.
-// A compatibility wrapper over the Spec engine (AlgCheapEdge).
-func (g *Graph) CheapRandomEdge(seed uint64) *Matching {
-	res, err := g.Match(Spec{Algorithm: AlgCheapEdge, Seed: seed}, nil)
-	if err != nil { // unreachable: the spec is valid and the path cannot cancel
-		panic(err)
-	}
-	return res.Matching
-}
-
-// CheapRandomVertex runs the §2.1 random-vertex-random-neighbor
-// 1/2-approximation. A compatibility wrapper over the Spec engine
-// (AlgCheapVertex).
-func (g *Graph) CheapRandomVertex(seed uint64) *Matching {
-	res, err := g.Match(Spec{Algorithm: AlgCheapVertex, Seed: seed}, nil)
-	if err != nil { // unreachable: the spec is valid and the path cannot cancel
-		panic(err)
-	}
-	return res.Matching
 }
 
 // OneSidedGuarantee returns the OneSidedMatch approximation bound implied

@@ -235,7 +235,7 @@ func (s *Server) wouldMissDeadline(req Request) error {
 	if !ok {
 		return nil
 	}
-	est, ok := s.engine.svc.estimate(req.Graph, req.effectiveSpec())
+	est, ok := s.engine.svc.estimate(req.Graph, req.Spec)
 	if !ok {
 		return nil
 	}

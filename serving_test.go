@@ -52,11 +52,11 @@ func TestServerSharedScalingOncePerGraph(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := 0; k < perSubmitter; k++ {
-				op := OpTwoSided
+				alg := AlgTwoSided
 				if k%2 == 1 {
-					op = OpOneSided
+					alg = AlgOneSided
 				}
-				resp := srv.Match(Request{Graph: g, Op: op, Seed: uint64(s*perSubmitter + k + 1)})
+				resp := srv.Match(Request{Graph: g, Spec: Spec{Algorithm: alg, Seed: uint64(s*perSubmitter + k + 1)}})
 				if resp.Err != nil {
 					errs <- fmt.Errorf("submitter %d req %d: %w", s, k, resp.Err)
 					return
@@ -75,7 +75,7 @@ func TestServerSharedScalingOncePerGraph(t *testing.T) {
 	}
 	// The shared scaling must not perturb results: one more request
 	// reproduces the one-shot width-1 reference bit for bit.
-	resp := srv.Match(Request{Graph: g, Op: OpTwoSided, Seed: 9})
+	resp := srv.Match(Request{Graph: g, Spec: Spec{Algorithm: AlgTwoSided, Seed: 9}})
 	if resp.Err != nil {
 		t.Fatal(resp.Err)
 	}
@@ -93,9 +93,9 @@ func TestMatchBatchSharedScalingPerGraph(t *testing.T) {
 	var reqs []Request
 	for s := uint64(1); s <= 24; s++ {
 		reqs = append(reqs,
-			Request{Graph: g1, Op: OpTwoSided, Seed: s},
-			Request{Graph: g2, Op: OpOneSided, Seed: s},
-			Request{Graph: g1, Op: OpKarpSipser, Seed: s}, // no scaling needed
+			Request{Graph: g1, Spec: Spec{Algorithm: AlgTwoSided, Seed: s}},
+			Request{Graph: g2, Spec: Spec{Algorithm: AlgOneSided, Seed: s}},
+			Request{Graph: g1, Spec: Spec{Algorithm: AlgKarpSipser, Seed: s}}, // no scaling needed
 		)
 	}
 	for i, resp := range MatchBatch(reqs, &Options{ScalingIterations: 5, Pool: pool}) {
@@ -128,18 +128,18 @@ func TestServerOverloadedWhenQueueFull(t *testing.T) {
 
 	// First request: admitted, drained into a batch, stalled in the hook.
 	first := make(chan Response, 1)
-	go func() { first <- srv.Match(Request{Graph: g, Seed: 1}) }()
+	go func() { first <- srv.Match(Request{Graph: g, Spec: Spec{Seed: 1}}) }()
 	<-entered
 
 	// Second request: admitted, fills the queue (depth 1).
 	second := make(chan Response, 1)
-	go func() { second <- srv.Match(Request{Graph: g, Seed: 2}) }()
+	go func() { second <- srv.Match(Request{Graph: g, Spec: Spec{Seed: 2}}) }()
 	waitFor(t, "queue to fill", func() bool { return len(srv.jobs) == 1 })
 
 	// Third request: the queue is full — rejected immediately, from the
 	// submitting goroutine, with no kernel work and no new goroutine.
 	start := time.Now()
-	resp := srv.Match(Request{Graph: g, Seed: 3})
+	resp := srv.Match(Request{Graph: g, Spec: Spec{Seed: 3}})
 	if !errors.Is(resp.Err, ErrOverloaded) {
 		t.Fatalf("overflow submission returned %v, want ErrOverloaded", resp.Err)
 	}
@@ -200,14 +200,14 @@ func TestServerExpiredContextSkipsKernels(t *testing.T) {
 
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
-	resp := srv.Match(Request{Graph: g, Op: OpTwoSided, Seed: 1, Ctx: canceled})
+	resp := srv.Match(Request{Graph: g, Spec: Spec{Algorithm: AlgTwoSided, Seed: 1}, Ctx: canceled})
 	if !errors.Is(resp.Err, context.Canceled) {
 		t.Fatalf("canceled request returned %v, want context.Canceled", resp.Err)
 	}
 
 	expired, cancel2 := context.WithDeadline(context.Background(), time.Now().Add(-time.Hour))
 	defer cancel2()
-	resp = srv.Match(Request{Graph: g, Op: OpTwoSided, Seed: 1, Ctx: expired})
+	resp = srv.Match(Request{Graph: g, Spec: Spec{Algorithm: AlgTwoSided, Seed: 1}, Ctx: expired})
 	if !errors.Is(resp.Err, context.DeadlineExceeded) {
 		t.Fatalf("expired request returned %v, want context.DeadlineExceeded", resp.Err)
 	}
@@ -225,9 +225,9 @@ func TestMatchBatchExpiredContextInBatch(t *testing.T) {
 	canceled, cancel := context.WithCancel(context.Background())
 	cancel()
 	out := MatchBatch([]Request{
-		{Graph: g, Seed: 1},
-		{Graph: g, Seed: 2, Ctx: canceled},
-		{Graph: g, Seed: 3, Ctx: context.Background()},
+		{Graph: g, Spec: Spec{Seed: 1}},
+		{Graph: g, Spec: Spec{Seed: 2}, Ctx: canceled},
+		{Graph: g, Spec: Spec{Seed: 3}, Ctx: context.Background()},
 	}, &Options{ScalingIterations: 5})
 	if out[0].Err != nil || out[2].Err != nil {
 		t.Fatalf("live requests failed: %v %v", out[0].Err, out[2].Err)
@@ -242,8 +242,8 @@ func TestMatchBatchExpiredContextInBatch(t *testing.T) {
 
 // TestMatcherCancelMidRun arms the session cancellation hook so it fires
 // after a few checkpoint polls — mid-pipeline, deterministically — and
-// checks every op aborts with ErrCanceled (nil matching for KarpSipser)
-// and that the session serves correct results again afterwards.
+// checks every algorithm aborts with ErrCanceled and that the session
+// serves correct results again afterwards.
 func TestMatcherCancelMidRun(t *testing.T) {
 	g := RandomER(3000, 3000, 4, 21)
 	want, err := g.TwoSidedMatch(&Options{ScalingIterations: 5, Seed: 5, Workers: 1})
@@ -258,23 +258,20 @@ func TestMatcherCancelMidRun(t *testing.T) {
 		return func() bool { return polls.Add(1) > n }
 	}
 
-	m.setCancel(fireAfter(3))
-	if _, err := m.TwoSided(5); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("TwoSided under mid-run cancel: %v, want ErrCanceled", err)
-	}
-	m.setCancel(fireAfter(2))
-	if _, err := m.OneSided(5); !errors.Is(err, ErrCanceled) {
-		t.Fatalf("OneSided under mid-run cancel: %v, want ErrCanceled", err)
-	}
-	m.setCancel(fireAfter(1))
-	if mt, _ := m.KarpSipser(5); mt != nil {
-		t.Fatal("KarpSipser under cancel returned a matching, want nil")
+	for _, tc := range []struct {
+		alg   Algorithm
+		after int64
+	}{{AlgTwoSided, 3}, {AlgOneSided, 2}, {AlgKarpSipser, 1}} {
+		m.setCancel(fireAfter(tc.after))
+		if _, err := m.Run(Spec{Algorithm: tc.alg, Seed: 5}); !errors.Is(err, ErrCanceled) {
+			t.Fatalf("%v under mid-run cancel: %v, want ErrCanceled", tc.alg, err)
+		}
 	}
 
 	// Cancellation must not poison the session: cleared hook, correct
 	// (reference-identical) result.
 	m.setCancel(nil)
-	res, err := m.TwoSided(5)
+	res, err := m.Run(Spec{Algorithm: AlgTwoSided, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,12 +295,12 @@ func TestServerCancelWhileQueued(t *testing.T) {
 		}
 	}
 	first := make(chan Response, 1)
-	go func() { first <- srv.Match(Request{Graph: g, Seed: 1}) }()
+	go func() { first <- srv.Match(Request{Graph: g, Spec: Spec{Seed: 1}}) }()
 	<-entered
 
 	ctx, cancel := context.WithCancel(context.Background())
 	queued := make(chan Response, 1)
-	go func() { queued <- srv.Match(Request{Graph: g, Seed: 2, Ctx: ctx}) }()
+	go func() { queued <- srv.Match(Request{Graph: g, Spec: Spec{Seed: 2}, Ctx: ctx}) }()
 	waitFor(t, "queue to fill", func() bool { return len(srv.jobs) == 1 })
 	cancel()
 	select {
@@ -329,7 +326,7 @@ func TestServerCancelWhileQueued(t *testing.T) {
 func TestServerClosedRejects(t *testing.T) {
 	srv := NewServer(nil, 4)
 	srv.Close()
-	resp := srv.Match(Request{Graph: RandomER(50, 50, 2, 1), Seed: 1})
+	resp := srv.Match(Request{Graph: RandomER(50, 50, 2, 1), Spec: Spec{Seed: 1}})
 	if !errors.Is(resp.Err, ErrServerClosed) {
 		t.Fatalf("post-Close Match returned %v, want ErrServerClosed", resp.Err)
 	}
@@ -351,7 +348,7 @@ func TestServerCloseConcurrentWithMatch(t *testing.T) {
 			go func() {
 				defer wg.Done()
 				for seed := uint64(1); ; seed++ {
-					resp := srv.Match(Request{Graph: g, Seed: seed})
+					resp := srv.Match(Request{Graph: g, Spec: Spec{Seed: seed}})
 					switch {
 					case resp.Err == nil, errors.Is(resp.Err, ErrOverloaded):
 					case errors.Is(resp.Err, ErrServerClosed):
@@ -394,7 +391,7 @@ func TestMatchBatchHeterogeneousShapes(t *testing.T) {
 	var reqs []Request
 	for round := 0; round < 3; round++ {
 		for i, g := range shapes {
-			reqs = append(reqs, Request{Graph: g, Op: OpTwoSided, Seed: uint64(round*len(shapes) + i + 1)})
+			reqs = append(reqs, Request{Graph: g, Spec: Spec{Algorithm: AlgTwoSided, Seed: uint64(round*len(shapes) + i + 1)}})
 		}
 	}
 	want := make([]*Matching, len(reqs))
@@ -433,12 +430,12 @@ func TestServerMatchBatchPartialOverload(t *testing.T) {
 	// Stall the collector on a first request so the burst below meets a
 	// full, static queue.
 	first := make(chan Response, 1)
-	go func() { first <- srv.Match(Request{Graph: g, Seed: 99}) }()
+	go func() { first <- srv.Match(Request{Graph: g, Spec: Spec{Seed: 99}}) }()
 	<-entered
 
 	burst := make([]Request, 10)
 	for i := range burst {
-		burst[i] = Request{Graph: g, Seed: uint64(i + 1)}
+		burst[i] = Request{Graph: g, Spec: Spec{Seed: uint64(i + 1)}}
 	}
 	done := make(chan []Response, 1)
 	go func() { done <- srv.MatchBatch(burst) }()

@@ -181,9 +181,7 @@ func ParseRefinement(s string) (Refinement, error) {
 // execution surface understands: Matcher.Run executes it on a session,
 // Graph.Match one-shot, the batch layer and Server run it per Request, and
 // cmd/matchserve accepts its fields on the wire. The zero value is a
-// single TwoSided run with the session's default seed, which makes every
-// legacy entry point expressible as a Spec (and since this redesign they
-// are implemented exactly that way).
+// single TwoSided run with the session's default seed.
 type Spec struct {
 	// Algorithm selects the heuristic. Zero value: AlgTwoSided.
 	Algorithm Algorithm
@@ -312,14 +310,14 @@ func (s Spec) Validate() error {
 }
 
 // Run executes one declarative matching request on the session — the
-// single engine behind every other entry point: the legacy one-shot and
-// session calls (OneSidedMatch, TwoSidedMatch, KarpSipser*, Cheap*), the
-// batch layer, Server and cmd/matchserve all delegate here, so Run is the
-// only code path that dispatches matching kernels.
+// single engine behind every other entry point: Graph.Match (and the
+// paper-named OneSidedMatch and TwoSidedMatch over it), the batch layer,
+// Server and cmd/matchserve all delegate here, so Run is the only code
+// path that dispatches matching kernels.
 //
-// Single runs (Ensemble <= 1, Refine: None) are bit-identical to the
-// legacy entry points at the same options and seed, and reuse the cached
-// scaling and workspaces like any session call.
+// Single runs (Ensemble <= 1, Refine: None) reuse the cached scaling and
+// workspaces; at Workers: 1 they are bit-identical across sessions at the
+// same options and seed.
 //
 // Ensembles consume their K candidates strictly in seed order over one
 // shared scaling. On a session whose pool is wider than one worker (and
@@ -400,15 +398,13 @@ func (m *Matcher) runSingle(spec Spec, seed uint64, sc *Scaling) (*MatchResult, 
 	if ref != RefineNone && m.canceled() {
 		return nil, ErrCanceled
 	}
-	m.result = MatchResult{
-		Matching:      best,
-		Scaling:       sc,
+	m.result = MatchResult{Matching: best, Scaling: sc, Provenance: Provenance{
 		Candidates:    1,
 		WinnerSeed:    seed,
 		HeuristicSize: heuristic,
 		Refined:       ref != RefineNone,
 		RefinedWith:   ref,
-	}
+	}}
 	if spec.Algorithm == AlgKarpSipser {
 		m.result.KSStats = &m.ksStats
 	}
@@ -479,15 +475,13 @@ func (m *Matcher) runEnsemble(spec Spec, base uint64, sc *Scaling) (*MatchResult
 	if spec.Algorithm == AlgKarpSipser {
 		m.ksStats = m.bestKS // report the winner's phase stats, not the last candidate's
 	}
-	m.result = MatchResult{
-		Matching:      final,
-		Scaling:       sc,
+	m.result = MatchResult{Matching: final, Scaling: sc, Provenance: Provenance{
 		Candidates:    e.consumed,
 		WinnerSeed:    e.winner,
 		HeuristicSize: e.heuristic,
 		Refined:       e.ref != RefineNone,
 		RefinedWith:   e.ref,
-	}
+	}}
 	if spec.Algorithm == AlgKarpSipser {
 		m.result.KSStats = &m.ksStats
 	}

@@ -7,101 +7,11 @@ import (
 )
 
 // The Spec conformance suite: the declarative engine (Matcher.Run) is the
-// only code path that dispatches matching kernels, and every legacy entry
-// point is a thin wrapper over it. These tests pin (a) bit-identity of the
-// wrappers against their Spec equivalents at fixed seeds, (b) the
+// only code path that dispatches matching kernels. These tests pin (a) the
 // RefineExact guarantee |M| == Sprank on the quality-suite families,
-// (c) the one-scaling-per-ensemble economy and deterministic winners, and
-// (d) the Op→Spec shim of the batch layer plus scale-cache eviction.
-
-// specConformanceGraphs are small instances spanning structure classes:
-// random with total support, complete (dense), mesh, and rank-deficient.
-func specConformanceGraphs() []struct {
-	name string
-	g    *Graph
-} {
-	return []struct {
-		name string
-		g    *Graph
-	}{
-		{"er-600", RandomER(600, 600, 4, 3)},
-		{"fullyind-500", FullyIndecomposable(500, 2, 5)},
-		{"road-800", RoadNetwork(800, 2.5, 9)}, // slightly rank-deficient
-	}
-}
-
-// TestSpecLegacyWrappersBitIdentical gates the api_redesign acceptance
-// criterion: every legacy entry point returns exactly what its Spec
-// equivalent returns at a fixed seed — same mates, same sizes, same
-// scaling vectors, same Karp–Sipser phase statistics. Workers: 1 keeps
-// the comparison bitwise (the package determinism contract).
-func TestSpecLegacyWrappersBitIdentical(t *testing.T) {
-	for _, tc := range specConformanceGraphs() {
-		g := tc.g
-		for _, seed := range []uint64{1, 7, 42} {
-			opt := &Options{ScalingIterations: 5, Workers: 1, Seed: seed}
-
-			want, err := g.TwoSidedMatch(opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err := g.Match(Spec{Algorithm: AlgTwoSided, Seed: seed}, &Options{ScalingIterations: 5, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cmpMates(t, tc.name+" twosided", got.Matching, want.Matching)
-			cmpScalings(t, tc.name+" twosided scaling", got.Scaling, want.Scaling)
-			if got.Candidates != 1 || got.WinnerSeed != seed || got.HeuristicSize != got.Matching.Size {
-				t.Fatalf("%s twosided: provenance (%d, %d, %d) want (1, %d, %d)", tc.name,
-					got.Candidates, got.WinnerSeed, got.HeuristicSize, seed, got.Matching.Size)
-			}
-
-			wantOne, err := g.OneSidedMatch(opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			gotOne, err := g.Match(Spec{Algorithm: AlgOneSided, Seed: seed}, &Options{ScalingIterations: 5, Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cmpMates(t, tc.name+" onesided", gotOne.Matching, wantOne.Matching)
-
-			wantKS, wantSt := g.KarpSipser(seed)
-			resKS, err := g.Match(Spec{Algorithm: AlgKarpSipser, Seed: seed}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cmpMates(t, tc.name+" karpsipser", resKS.Matching, wantKS)
-			if resKS.KSStats == nil || *resKS.KSStats != wantSt {
-				t.Fatalf("%s karpsipser stats %+v want %+v", tc.name, resKS.KSStats, wantSt)
-			}
-			if resKS.Scaling != nil {
-				t.Fatalf("%s karpsipser: unexpected scaling in result", tc.name)
-			}
-
-			wantKSP := g.KarpSipserParallel(seed, 1)
-			gotKSP, err := g.Match(Spec{Algorithm: AlgKarpSipserParallel, Seed: seed}, &Options{Workers: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			cmpMates(t, tc.name+" karpsipser-parallel", gotKSP.Matching, wantKSP)
-
-			wantCE := g.CheapRandomEdge(seed)
-			gotCE, err := g.Match(Spec{Algorithm: AlgCheapEdge, Seed: seed}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cmpMates(t, tc.name+" cheap-edge", gotCE.Matching, wantCE)
-
-			wantCV := g.CheapRandomVertex(seed)
-			gotCV, err := g.Match(Spec{Algorithm: AlgCheapVertex, Seed: seed}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cmpMates(t, tc.name+" cheap-vertex", gotCV.Matching, wantCV)
-		}
-	}
-}
+// (b) the one-scaling-per-ensemble economy, deterministic winners and the
+// provenance of single runs and ensembles, and (c) Specs riding the batch
+// layer plus scale-cache eviction.
 
 // TestSpecRefineExactReachesSprank is the jump-start acceptance gate:
 // Refine: Exact completes any heuristic matching to maximum cardinality
@@ -171,9 +81,15 @@ func TestSpecEnsembleSingleScalingDeterministicWinner(t *testing.T) {
 	m := g.NewMatcher(&Options{ScalingIterations: 5, Workers: 1})
 	bestSize, bestSeed := -1, uint64(0)
 	for s := uint64(1); s <= 8; s++ {
-		res, err := m.TwoSided(s)
+		res, err := m.Run(Spec{Algorithm: AlgTwoSided, Seed: s})
 		if err != nil {
 			t.Fatal(err)
+		}
+		// A single run's provenance: one candidate, the requested seed,
+		// no refinement gap.
+		if res.Candidates != 1 || res.WinnerSeed != s || res.HeuristicSize != res.Matching.Size {
+			t.Fatalf("seed %d: provenance (%d, %d, %d) want (1, %d, %d)", s,
+				res.Candidates, res.WinnerSeed, res.HeuristicSize, s, res.Matching.Size)
 		}
 		if res.Matching.Size > bestSize {
 			bestSize, bestSeed = res.Matching.Size, s
@@ -200,7 +116,7 @@ func TestSpecEnsembleSingleScalingDeterministicWinner(t *testing.T) {
 	// Warm-matcher follow-up ensemble on the same session: still no
 	// rescale.
 	mm := g.NewMatcher(&Options{ScalingIterations: 5, Workers: 1})
-	if _, err := mm.TwoSided(1); err != nil { // warm the scaling
+	if _, err := mm.Run(Spec{Algorithm: AlgTwoSided, Seed: 1}); err != nil { // warm the scaling
 		t.Fatal(err)
 	}
 	before := scales.Load()
@@ -277,38 +193,6 @@ func TestSpecValidate(t *testing.T) {
 			t.Fatalf("refinement %v does not round-trip: %v %v", ref, back, err)
 		}
 	}
-}
-
-// TestSpecBatchOpShim: the deprecated Request.Op/Seed fields resolve to
-// the same responses as their Spec equivalents, and an explicit
-// Spec.Algorithm wins over a stale Op.
-func TestSpecBatchOpShim(t *testing.T) {
-	g := RandomER(700, 700, 4, 31)
-	ops := []Op{OpTwoSided, OpOneSided, OpKarpSipser}
-	legacy := make([]Request, 0, 3*len(ops))
-	speced := make([]Request, 0, 3*len(ops))
-	for _, op := range ops {
-		for s := uint64(1); s <= 3; s++ {
-			legacy = append(legacy, Request{Graph: g, Op: op, Seed: s})
-			speced = append(speced, Request{Graph: g, Spec: Spec{Algorithm: op.Algorithm(), Seed: s}})
-		}
-	}
-	opt := &Options{ScalingIterations: 5}
-	outLegacy := MatchBatch(legacy, opt)
-	outSpec := MatchBatch(speced, opt)
-	for i := range outLegacy {
-		if outLegacy[i].Err != nil || outSpec[i].Err != nil {
-			t.Fatalf("req %d: errs %v / %v", i, outLegacy[i].Err, outSpec[i].Err)
-		}
-		cmpMates(t, "op shim", outSpec[i].Matching, outLegacy[i].Matching)
-	}
-	// Precedence: a set Spec.Algorithm silences Op entirely.
-	mixed := MatchBatch([]Request{{Graph: g, Op: OpKarpSipser, Spec: Spec{Algorithm: AlgOneSided, Seed: 2}}}, opt)
-	pure := MatchBatch([]Request{{Graph: g, Spec: Spec{Algorithm: AlgOneSided, Seed: 2}}}, opt)
-	if mixed[0].Err != nil || pure[0].Err != nil {
-		t.Fatal(mixed[0].Err, pure[0].Err)
-	}
-	cmpMates(t, "spec wins over op", mixed[0].Matching, pure[0].Matching)
 }
 
 // TestSpecBatchEnsembleRefine: full specs ride the batch layer — a
@@ -464,9 +348,15 @@ func TestSpecEnsembleParallelWinnerStats(t *testing.T) {
 	bestSize, bestSeed := -1, uint64(0)
 	var wantStats KarpSipserStats
 	for s := uint64(1); s <= k; s++ {
-		mt, st := g.KarpSipser(s)
-		if mt.Size > bestSize {
-			bestSize, bestSeed, wantStats = mt.Size, s, st
+		one, err := g.Match(Spec{Algorithm: AlgKarpSipser, Seed: s}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if one.KSStats == nil || one.Scaling != nil {
+			t.Fatalf("seed %d: KSStats %v, Scaling %v; want stats and no scaling", s, one.KSStats, one.Scaling)
+		}
+		if one.Matching.Size > bestSize {
+			bestSize, bestSeed, wantStats = one.Matching.Size, s, *one.KSStats
 		}
 	}
 

@@ -232,8 +232,7 @@ func (m *Matcher) runAuction(spec Spec) (*MatchResult, error) {
 // auctionResult fills the session result header from one finished
 // auction.
 func (m *Matcher) auctionResult(res auction.Result, winner uint64, consumed int, eps float64) *MatchResult {
-	m.result = MatchResult{
-		Matching:      res.Matching,
+	m.result = MatchResult{Matching: res.Matching, Provenance: Provenance{
 		Candidates:    consumed,
 		WinnerSeed:    winner,
 		HeuristicSize: res.Matching.Size,
@@ -241,7 +240,7 @@ func (m *Matcher) auctionResult(res auction.Result, winner uint64, consumed int,
 		Epsilon:       eps,
 		Rounds:        res.Rounds,
 		DualBound:     res.DualBound,
-	}
+	}}
 	return &m.result
 }
 

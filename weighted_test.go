@@ -347,7 +347,8 @@ func TestAuctionDynDeterminismWidths(t *testing.T) {
 }
 
 // TestAuctionMatchBatch: AlgAuction specs flow through the batch layer
-// with weighted provenance on the Response.
+// and the Server with weighted provenance on the Response — including the
+// dual bound, equal to the one-shot MatchResult's.
 func TestAuctionMatchBatch(t *testing.T) {
 	g1 := RandomER(40, 40, 4, 1).RandomWeights(WeightUniform, 2)
 	g2 := RandomER(30, 35, 4, 2).RandomWeights(WeightSkewed, 3)
@@ -374,6 +375,26 @@ func TestAuctionMatchBatch(t *testing.T) {
 	if resps[2].MatchedWeight != 0 {
 		t.Fatalf("cardinality response has MatchedWeight %v", resps[2].MatchedWeight)
 	}
+
+	srv := NewServer(&Options{Workers: 2}, 8)
+	defer srv.Close()
+	for i, req := range reqs[:2] {
+		want, err := req.Graph.Match(req.Spec, &Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.DualBound <= 0 {
+			t.Fatalf("request %d: one-shot dual bound %v", i, want.DualBound)
+		}
+		served := srv.Match(req)
+		if served.Err != nil {
+			t.Fatalf("request %d via Server: %v", i, served.Err)
+		}
+		if resps[i].DualBound != want.DualBound || served.DualBound != want.DualBound {
+			t.Fatalf("request %d: dual bound batch %v, server %v, want %v",
+				i, resps[i].DualBound, served.DualBound, want.DualBound)
+		}
+	}
 }
 
 // TestAuctionAliasSampling: the alias-sampling opt-in composes with the
@@ -382,7 +403,7 @@ func TestAuctionMatchBatch(t *testing.T) {
 func TestAuctionAliasSampling(t *testing.T) {
 	g := RandomER(500, 500, 5, 9).RandomWeights(WeightUniform, 9)
 	m := g.NewMatcher(&Options{Workers: 2, AliasSampling: true})
-	res, err := m.TwoSided(3)
+	res, err := m.Run(Spec{Algorithm: AlgTwoSided, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
