@@ -266,26 +266,6 @@ func BenchmarkAblationScaling(b *testing.B) {
 	})
 }
 
-func BenchmarkAblationSkewAwareScaling(b *testing.B) {
-	// The §2.2 remark: split heavy rows across threads. Compare on a
-	// matrix with one full row (the BadKS family has full rows/columns;
-	// n=6400 keeps the dense R1×C1 block at ~10M entries).
-	a := gen.BadKS(6400, 4)
-	at := a.Transpose()
-	b.Run("standard", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			mustScale(b, a, at, 2, 0)
-		}
-	})
-	b.Run("skew-aware", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := scale.SinkhornKnoppSkewAware(a, at, scale.Options{MaxIters: 2}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 func BenchmarkAblationKSVariants(b *testing.B) {
 	a := gen.ERAvgDeg(100000, 100000, 3, 5)
 	at := a.Transpose()

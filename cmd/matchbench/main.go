@@ -14,11 +14,11 @@
 // conjecture, ablation, extension, perf, refine, serve, dyn, weighted,
 // cluster.
 //
-// refine measures the exact-refinement engines (Hopcroft-Karp,
-// push-relabel with global relabeling, the Pothen-Fan+ sweep followed by
-// it — RefineExact's engine — and the parallel MS-BFS-Graft engine at
-// 1/2/4 workers)
-// completing one shared cheap warm start on adversarial instances.
+// refine measures the exact-refinement engines (Hopcroft-Karp, the
+// Pothen-Fan+ sweep followed by push-relabel with global relabeling —
+// RefineExact's engine — and the parallel MS-BFS-Graft engine at 1/2/4
+// workers) completing one shared cheap warm start on adversarial
+// instances.
 //
 // The perf, refine and serve experiments additionally write their records to a
 // machine-readable JSON file (-json, default BENCH_matchbench.json) so

@@ -91,8 +91,8 @@
 // karpsipser-parallel, cheap-edge, cheap-vertex, auction; "op" survives
 // as a deprecated alias), "refine" augments the heuristic matching toward
 // maximum cardinality ("exact" = Pothen–Fan+ sweep then push-relabel
-// jump-start, "pushrelabel" = push-relabel with global relabeling alone,
-// "graft" = the parallel MS-BFS-Graft engine), "best_of":K runs a best-of-K seed
+// with global relabeling, "graft" = the parallel MS-BFS-Graft engine),
+// "best_of":K runs a best-of-K seed
 // ensemble on one shared scaling, "target" stops the ensemble early at the
 // given quality fraction, and "sequential":true forces the ensemble's
 // candidates onto one arena (inside the batch engine's width-1 slots the

@@ -5,7 +5,6 @@
 //
 //	matchtool -in graph.mtx -alg twosided -iters 5
 //	matchtool -in graph.mtx -alg twosided -refine exact   # heuristic jump-start + Pothen-Fan+ sweep + push-relabel
-//	matchtool -in graph.mtx -alg cheap-edge -refine pushrelabel  # auction-family refinement
 //	matchtool -in graph.mtx -alg twosided -refine graft   # parallel MS-BFS-Graft refinement
 //	matchtool -in graph.mtx -alg twosided -best-of 8      # best-of-8 seed ensemble, one scaling,
 //	                                                      # candidates fanned out across the pool
@@ -48,7 +47,7 @@ func main() {
 		iters   = flag.Int("iters", 5, "Sinkhorn-Knopp scaling iterations (one/two-sided)")
 		workers = flag.Int("workers", 0, "worker count; 0 = all CPUs")
 		seed    = flag.Uint64("seed", 1, "RNG seed")
-		refine  = flag.String("refine", "none", "refinement: none|exact|pushrelabel|graft (augment the heuristic matching to maximum cardinality; exact = Pothen-Fan+ sweep then push-relabel with global relabeling, auto-selecting graft on large instances; pushrelabel = push-relabel alone)")
+		refine  = flag.String("refine", "none", "refinement: none|exact|graft (augment the heuristic matching to maximum cardinality; exact = Pothen-Fan+ sweep then push-relabel with global relabeling, auto-selecting graft on large instances; graft = parallel MS-BFS-Graft)")
 		bestOf  = flag.Int("best-of", 1, "ensemble size: run seeds seed..seed+K-1 on one shared scaling and keep the largest matching")
 		target  = flag.Float64("target", 0, "ensemble early-stop: halt once size reaches target*sprank-upper-bound, in (0,1]")
 		seq     = flag.Bool("sequential", false, "run ensemble candidates sequentially on one arena instead of fanning out across the pool")

@@ -106,19 +106,16 @@
 // Refine: RefineExact is the paper's central application (§4): the
 // heuristic matching jump-starts an exact augmenting-path engine, which
 // only pays for the rows the heuristic left free, and a refined single
-// run always satisfies size == Sprank(). Three engines share that
+// run always satisfies size == Sprank(). Two engines share that
 // contract. RefineExact runs the sequential pair Deveci et al. use as
 // their baseline: one Pothen–Fan+ sweep (a DFS per free row with
 // lookahead, each column visited once per sweep) and then, only if rows
-// are still free, push-relabel with global relabeling (a BFS from the
-// free columns resets the labels to exact distances every (n+m)/4 bids;
-// a run without the sweep starts on zero labels and waits (n+m)/2 bids
-// for its first relabel, so short warm-start tails need none).
-// RefinePushRelabel is that push-relabel alone, the scheme of the GPU
-// and multicore maximum-transversal codes the paper cites.
-// Hopcroft–Karp stays the cold reference behind Sprank() and
-// MaximumMatching(). RefineGraft is the parallel
-// engine — a multi-source BFS with tree grafting in the style of Azad et
+// are still free, push-relabel with global relabeling, the scheme of the
+// GPU and multicore maximum-transversal codes the paper cites (a BFS from
+// the free columns resets the labels to exact distances at the first bid
+// and every (n+m)/4 bids after it). Hopcroft–Karp stays the cold
+// reference behind Sprank() and MaximumMatching(). RefineGraft is the
+// parallel engine — a multi-source BFS with tree grafting in the style of Azad et
 // al.'s MS-BFS-Graft, which grows one alternating forest per exposed row
 // across the Matcher's pool and commits augmenting paths in a fixed
 // deterministic order, so its result is bit-identical at every pool
@@ -188,11 +185,6 @@
 // weight updates) by re-normalizing prices around what the batch
 // disturbed and re-auctioning only the freed rows, preserving the (1−ε)
 // bound at the session's creation-time slack after every batch.
-//
-// Sampling-based heuristics can opt into Walker alias tables
-// (Options.AliasSampling) for O(1) weighted draws per sample; the tables
-// build lazily per graph and invalidate with the scaling, trading one
-// O(nnz) build for constant-time draws in seed sweeps.
 //
 // # Sessions and serving
 //

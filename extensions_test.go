@@ -41,21 +41,24 @@ func TestNewUndirectedValidation(t *testing.T) {
 
 func TestPushRelabelAPI(t *testing.T) {
 	g := RandomER(2000, 2000, 3, 7)
-	pr := g.MaximumMatchingPushRelabel(nil)
+	pr, free := g.MaximumMatchingFrom(nil)
 	if err := g.ValidateMatching(pr); err != nil {
 		t.Fatal(err)
 	}
-	if pr.Size != g.Sprank() {
-		t.Fatalf("push-relabel %d != sprank %d", pr.Size, g.Sprank())
+	if pr.Size != g.Sprank() || free != g.Rows() {
+		t.Fatalf("cold sweep + push-relabel %d (free %d) != sprank %d (rows %d)", pr.Size, free, g.Sprank(), g.Rows())
 	}
 	// Warm-started from a heuristic: same size, fewer free rows to fix.
 	two, err := g.TwoSidedMatch(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	warm := g.MaximumMatchingPushRelabel(two.Matching)
-	if warm.Size != pr.Size {
-		t.Fatalf("warm push-relabel %d != cold %d", warm.Size, pr.Size)
+	warm, warmFree := g.MaximumMatchingFrom(two.Matching)
+	if err := g.ValidateMatching(warm); err != nil {
+		t.Fatal(err)
+	}
+	if warm.Size != pr.Size || warmFree != g.Rows()-two.Matching.Size {
+		t.Fatalf("warm sweep + push-relabel %d (free %d) != cold %d (free %d)", warm.Size, warmFree, pr.Size, g.Rows()-two.Matching.Size)
 	}
 }
 
@@ -67,23 +70,6 @@ func TestKarpSipserParallelAPI(t *testing.T) {
 	}
 	if 2*mt.Size < g.Sprank() {
 		t.Fatal("below half guarantee")
-	}
-}
-
-func TestSkewAwareScalingOption(t *testing.T) {
-	g := PowerLaw(5000, 10, 1.5, 2000, 3)
-	std, err := g.Scale(&Options{ScalingIterations: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	skew, err := g.Scale(&Options{ScalingIterations: 5, SkewAware: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range std.DR {
-		if rel := math.Abs(std.DR[i]-skew.DR[i]) / std.DR[i]; rel > 1e-9 {
-			t.Fatalf("dr[%d] diverges: %v", i, rel)
-		}
 	}
 }
 

@@ -188,15 +188,6 @@ func (g *Graph) transpose() *sparse.CSR {
 // Hopcroft–Karp.
 func (g *Graph) MaximumMatching() *Matching { return exact.HopcroftKarp(g.a, nil) }
 
-// MaximumMatchingPushRelabel computes a maximum matching with the
-// push-relabel/auction scheme with global relabeling (the algorithm family
-// of the GPU and multicore maximum-transversal codes the paper cites) —
-// the engine behind RefinePushRelabel. init may be nil or a warm-start
-// matching.
-func (g *Graph) MaximumMatchingPushRelabel(init *Matching) *Matching {
-	return exact.NewPRRefinerWs(g.a, g.transpose(), init, &exact.Workspace{}).Run()
-}
-
 // MaximumMatchingFrom completes the given partial matching (nil means the
 // empty one) to a maximum one and reports how many rows the warm start had
 // left free — the jump-start metric of the introduction. It runs the
@@ -213,9 +204,7 @@ func (g *Graph) MaximumMatchingFrom(init *Matching) (*Matching, int) {
 			}
 		}
 	}
-	pr := exact.NewPRRefinerWs(g.a, g.transpose(), init, &exact.Workspace{})
-	pr.SetSweep(true)
-	return pr.Run(), free
+	return exact.NewPRRefinerWs(g.a, g.transpose(), init, &exact.Workspace{}).Run(), free
 }
 
 // Sprank returns the maximum matching cardinality (structural rank),

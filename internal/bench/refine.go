@@ -39,10 +39,10 @@ func refineCases(scale string, seed uint64) []struct {
 	}
 }
 
-// Refine measures the exact refinement engines — Hopcroft–Karp,
-// push-relabel with global relabeling, the Pothen–Fan+ sweep followed by
-// that push-relabel (the engine RefineExact runs below the graft
-// threshold), and the parallel MS-BFS-Graft — completing one shared
+// Refine measures the exact refinement engines — Hopcroft–Karp, the
+// Pothen–Fan+ sweep followed by push-relabel with global relabeling (the
+// engine RefineExact runs below the graft threshold), and the parallel
+// MS-BFS-Graft — completing one shared
 // heuristic warm start (the §2.1 cheap 1/2-approximation, so the tier
 // measures the jump-start tail the paper's application cares about). The
 // sequential engines run once; graft runs at 1, 2 and 4 workers, and its
@@ -105,13 +105,8 @@ func Refine(cfg Config) []PerfRecord {
 		record("refine-hk", 1, func() *exact.Matching {
 			return exact.NewHKRefinerWs(a, init, ws).Run()
 		}, 0)
-		record("refine-pushrelabel", 1, func() *exact.Matching {
-			return exact.NewPRRefinerWs(a, at, init, ws).Run()
-		}, 0)
 		record("refine-exact", 1, func() *exact.Matching {
-			r := exact.NewPRRefinerWs(a, at, init, ws)
-			r.SetSweep(true)
-			return r.Run()
+			return exact.NewPRRefinerWs(a, at, init, ws).Run()
 		}, 0)
 		var graftAnchor int64
 		for _, th := range graftWidths {

@@ -50,13 +50,8 @@ type Session struct {
 	match, mark, deg []int32
 	twoSidedSized    bool // the six buffers above are sized for (a, at)
 	cmatch           []int32
-
-	// Alias-method sampling tables (Options.Alias); stale until the next
-	// ensureAlias after Rebind or SetScaling.
-	aliasA, aliasAT aliasTable
-	aliasBuilt      bool
-	matching        exact.Matching
-	result          Result
+	matching         exact.Matching
+	result           Result
 
 	sampleBoth func(w, lo, hi int)
 	oneSided   func(w, lo, hi int)
@@ -88,31 +83,17 @@ func NewSession(a, at *sparse.CSR, opt Options) *Session {
 			if rhi > n {
 				rhi = n
 			}
-			if s.aliasBuilt {
-				aliasSampleRange(s.a, &s.aliasA, s.rbase, s.rchoice, lo, rhi)
-			} else {
-				sampleRange(s.a, s.dc, s.rtot, s.rbase, s.rchoice, lo, rhi)
-			}
+			sampleRange(s.a, s.dc, s.rtot, s.rbase, s.rchoice, lo, rhi)
 		}
 		if hi > n {
 			clo := lo - n
 			if clo < 0 {
 				clo = 0
 			}
-			if s.aliasBuilt {
-				aliasSampleRange(s.at, &s.aliasAT, s.cbase, s.cchoice, clo, hi-n)
-			} else {
-				sampleRange(s.at, s.dr, s.ctot, s.cbase, s.cchoice, clo, hi-n)
-			}
+			sampleRange(s.at, s.dr, s.ctot, s.cbase, s.cchoice, clo, hi-n)
 		}
 	}
-	s.oneSided = func(_, lo, hi int) {
-		if s.aliasBuilt {
-			aliasOneSidedRange(s.a, &s.aliasA, s.obase, s.cmatch, lo, hi)
-		} else {
-			oneSidedRange(s.a, s.dc, s.rtot, s.obase, s.cmatch, lo, hi)
-		}
-	}
+	s.oneSided = func(_, lo, hi int) { oneSidedRange(s.a, s.dc, s.rtot, s.obase, s.cmatch, lo, hi) }
 	s.ksInit = func(_, lo, hi int) { ksInitRange(s.match, s.mark, s.deg, lo, hi) }
 	s.ksLink = func(_, lo, hi int) { ksLinkRange(s.cg.Choice, s.mark, s.deg, lo, hi) }
 	s.ksPhase1 = func(_, lo, hi int) { ksPhase1Range(s.cg.Choice, s.match, s.mark, s.deg, lo, hi) }
@@ -178,7 +159,6 @@ func (s *Session) canceled() bool { return s.cancel != nil && s.cancel() }
 func (s *Session) SetScaling(dr, dc, rowTotals, colTotals []float64) {
 	s.dr, s.dc = dr, dc
 	s.rtot, s.ctot = rowTotals, colTotals
-	s.aliasBuilt = false // tables bake the scaling in; rebuild on next use
 }
 
 // Matrix returns the matrix the session is currently bound to.
@@ -194,7 +174,6 @@ func (s *Session) TwoSided(seed uint64) *Result {
 		return nil
 	}
 	s.ensureTwoSided()
-	s.ensureAlias()
 	s.rbase = xrand.Base(seed)
 	s.cbase = xrand.Base(seed ^ colSeedSalt)
 	s.pool.ForCancel(s.a.RowsN+s.at.RowsN, s.opt.Workers, s.opt.Policy, s.chunk, s.cancel, s.sampleBoth)
@@ -230,7 +209,6 @@ func (s *Session) OneSided(seed uint64) ([]int32, int) {
 	if s.canceled() {
 		return nil, 0
 	}
-	s.ensureAlias()
 	s.obase = xrand.Base(seed)
 	for j := range s.cmatch {
 		s.cmatch[j] = NIL

@@ -15,7 +15,7 @@ func TestKoenigCertificateOnRandomInstances(t *testing.T) {
 		nnz := (int(d) % 6) * rows
 		a := gen.ER(rows, cols, nnz, seed)
 		for _, mt := range []*Matching{
-			HopcroftKarp(a, nil), MC21(a, nil), PushRelabel(a, nil),
+			HopcroftKarp(a, nil), MC21(a, nil), NewPRRefiner(a, nil).Run(),
 		} {
 			if !Certify(a, mt) {
 				return false

@@ -55,9 +55,9 @@ func TestBruteForceOracleKnown(t *testing.T) {
 	}
 }
 
-// TestAllSolversMatchOracle compares Hopcroft–Karp, MC21, PushRelabel and
-// the Pothen–Fan+ sweep followed by push-relabel against exhaustive search
-// on thousands of small random instances.
+// TestAllSolversMatchOracle compares Hopcroft–Karp, MC21 and the
+// Pothen–Fan+ sweep followed by push-relabel against exhaustive search on
+// thousands of small random instances.
 func TestAllSolversMatchOracle(t *testing.T) {
 	f := func(seed uint64, r8, c8, d uint8) bool {
 		rows := int(r8)%10 + 1
@@ -73,11 +73,7 @@ func TestAllSolversMatchOracle(t *testing.T) {
 			t.Logf("MC21 wrong on seed=%d %dx%d nnz=%d", seed, rows, cols, nnz)
 			return false
 		}
-		if PushRelabel(a, nil).Size != want {
-			t.Logf("PushRelabel wrong on seed=%d %dx%d nnz=%d", seed, rows, cols, nnz)
-			return false
-		}
-		if mt, _ := runPR(a, nil, true); mt.Size != want {
+		if mt, _ := runPR(a, nil); mt.Size != want {
 			t.Logf("sweep+PushRelabel wrong on seed=%d %dx%d nnz=%d", seed, rows, cols, nnz)
 			return false
 		}
@@ -93,7 +89,7 @@ func TestPushRelabelMatchesHKOnLargerInstances(t *testing.T) {
 		n := 500 + int(seed)*100
 		a := gen.ERAvgDeg(n, n, float64(seed%5)+1, seed)
 		hk := HopcroftKarp(a, nil)
-		pr := PushRelabel(a, nil)
+		pr, _ := runPR(a, nil)
 		checkMatching(t, a, pr)
 		if pr.Size != hk.Size {
 			t.Fatalf("seed %d: PushRelabel %d != HK %d", seed, pr.Size, hk.Size)
@@ -101,7 +97,7 @@ func TestPushRelabelMatchesHKOnLargerInstances(t *testing.T) {
 	}
 }
 
-// prFamilies are the inputs the push-relabel engines are held to
+// prFamilies are the inputs the push-relabel engine is held to
 // Hopcroft–Karp on: the adversarial families, rectangular shapes both
 // ways, and inputs with empty rows and columns.
 func prFamilies() map[string]*sparse.CSR {
@@ -123,18 +119,30 @@ func prFamilies() map[string]*sparse.CSR {
 	}
 }
 
-// runPR runs the push-relabel refiner to completion, with or without the
-// Pothen–Fan+ sweep.
-func runPR(a *sparse.CSR, init *Matching, sweep bool) (*Matching, *PRRefiner) {
+// runPR runs the sweep + push-relabel refiner to completion.
+func runPR(a *sparse.CSR, init *Matching) (*Matching, *PRRefiner) {
 	r := NewPRRefiner(a, init)
-	r.SetSweep(sweep)
 	return r.Run(), r
 }
 
-// TestPushRelabelRectangularAndDeficient: both engines (push-relabel alone
-// and sweep then push-relabel) reach Hopcroft–Karp's size on every family
-// from a nil, a partial and an already-maximum warm start, return a valid
-// matching, leave the warm start untouched, and are deterministic.
+// freeRowsWithEdges counts the rows of a that mt leaves free and that have
+// at least one edge — the rows a refiner queues.
+func freeRowsWithEdges(a *sparse.CSR, mt *Matching) int {
+	free := 0
+	for i, j := range mt.RowMate {
+		if j == NIL && a.Degree(i) > 0 {
+			free++
+		}
+	}
+	return free
+}
+
+// TestPushRelabelRectangularAndDeficient: the sweep + push-relabel engine
+// reaches Hopcroft–Karp's size on every family from a nil, a partial and
+// an already-maximum warm start, returns a valid matching, leaves the warm
+// start untouched, and is deterministic. From a maximum warm start the
+// sweep augments nothing, so the first bid relabels and caps every column
+// a free row can reach: each free row with an edge bids exactly once.
 func TestPushRelabelRectangularAndDeficient(t *testing.T) {
 	for name, a := range prFamilies() {
 		maxm := HopcroftKarp(a, nil)
@@ -148,25 +156,28 @@ func TestPushRelabelRectangularAndDeficient(t *testing.T) {
 			if init != nil {
 				initRows = append([]int32(nil), init.RowMate...)
 			}
-			for _, sweep := range []bool{false, true} {
-				mt, r := runPR(a, init, sweep)
-				checkMatching(t, a, mt)
-				if mt.Size != maxm.Size {
-					t.Fatalf("%s/%s sweep=%v: size %d != HK %d", name, wname, sweep, mt.Size, maxm.Size)
+			mt, r := runPR(a, init)
+			checkMatching(t, a, mt)
+			if mt.Size != maxm.Size {
+				t.Fatalf("%s/%s: size %d != HK %d", name, wname, mt.Size, maxm.Size)
+			}
+			if !r.Done() || r.Step(1) {
+				t.Fatalf("%s/%s: finished refiner not done", name, wname)
+			}
+			if wname == "maximum" {
+				if free := freeRowsWithEdges(a, init); r.Bids() != free {
+					t.Fatalf("%s/maximum: %d bids, want one per free row with an edge (%d)", name, r.Bids(), free)
 				}
-				if !r.Done() || r.Step(1) {
-					t.Fatalf("%s/%s sweep=%v: finished refiner not done", name, wname, sweep)
+			}
+			for i, j := range initRows {
+				if init.RowMate[i] != j {
+					t.Fatalf("%s/%s: warm start row %d mutated", name, wname, i)
 				}
-				for i, j := range initRows {
-					if init.RowMate[i] != j {
-						t.Fatalf("%s/%s: warm start row %d mutated", name, wname, i)
-					}
-				}
-				again, _ := runPR(a, init, sweep)
-				for i := range mt.RowMate {
-					if again.RowMate[i] != mt.RowMate[i] {
-						t.Fatalf("%s/%s sweep=%v: rerun differs at row %d", name, wname, sweep, i)
-					}
+			}
+			again, _ := runPR(a, init)
+			for i := range mt.RowMate {
+				if again.RowMate[i] != mt.RowMate[i] {
+					t.Fatalf("%s/%s: rerun differs at row %d", name, wname, i)
 				}
 			}
 		}
@@ -181,7 +192,7 @@ func TestPushRelabelWarmStart(t *testing.T) {
 		init.ColMate[i] = int32(i)
 		init.Size++
 	}
-	pr := PushRelabel(a, init)
+	pr, _ := runPR(a, init)
 	checkMatching(t, a, pr)
 	if pr.Size != 400 {
 		t.Fatalf("warm-started push-relabel size %d want 400", pr.Size)

@@ -3,35 +3,34 @@ package exact
 import "repro/internal/sparse"
 
 // PRRefiner is the incremental form of the push-relabel / auction scheme
-// with global relabeling: the matching, the column labels and a queue of
-// active rows, advanced a bounded number of bids at a time. The held
-// matching is valid between steps and its size is monotone (a bid either
-// evicts — size unchanged — or claims a free column), so callers can
-// interleave bounded Step calls with other work and stop as soon as the
-// size crosses a bound, exactly like HKRefiner.
+// with global relabeling used by the GPU and multicore maximum-transversal
+// codes the paper cites (Kaya–Langguth–Manne–Uçar 2013; Deveci et al.
+// 2013): each free row bids for its cheapest (lowest-label) neighbor
+// column, evicting the column's mate, and the column's label rises to one
+// above the row's second-cheapest alternative; a row whose cheapest label
+// reaches the cap has no augmenting path left and stays free. The refiner
+// holds the matching, the column labels and a queue of active rows,
+// advanced a bounded number of bids at a time. The held matching is valid
+// between steps and its size is monotone (a bid either evicts — size
+// unchanged — or claims a free column), so callers can interleave bounded
+// Step calls with other work and stop as soon as the size crosses a
+// bound, exactly like HKRefiner.
+//
+// The first Step is one Pothen–Fan+ pass: every free row roots an
+// augmenting DFS with a per-row lookahead cursor, and columns are visited
+// at most once per sweep, so the pass costs one traversal of the graph and
+// finds a maximal set of vertex-disjoint augmenting paths. Push-relabel
+// then only has to finish the rows the sweep left free.
 //
 // A column's label is a lower bound on its alternating distance to a free
-// column. Labels start at zero. Bids keep the bound valid but raise it one
-// step at a time, which is quadratic on structurally deficient inputs,
-// where whole regions can never reach a free column. The global relabel
-// replaces every label by the exact distance — a BFS from the free columns
-// over the transpose — and caps the unreachable ones at once. It runs every
-// (n+m)/4 bids, but the first one waits twice as long: the short tails a
-// heuristic warm start leaves usually finish on zero labels without any
-// BFS, and a deficient input pays at most (n+m)/2 bids before its doomed
-// columns are capped. A Pothen–Fan+ sweep invalidates the labels, so the
-// first bid after a sweep relabels at once.
-//
-// Until the first relabel an evicted row goes to the front of the queue,
-// so each eviction chain runs depth-first with good locality, as in the
-// classic bid loop; from then on it goes to the back (FIFO), the order
-// that keeps the relabelled bid count linear in practice.
-//
-// SetSweep schedules one Pothen–Fan+ pass as the first Step: every free
-// row roots an augmenting DFS with a per-row lookahead cursor, and columns
-// are visited at most once per sweep, so the pass costs one traversal of
-// the graph and finds a maximal set of vertex-disjoint augmenting paths.
-// Push-relabel then only has to finish the rows the sweep left free.
+// column. Bids keep the bound valid but raise it one step at a time, which
+// is quadratic on structurally deficient inputs, where whole regions can
+// never reach a free column. The global relabel replaces every label by
+// the exact distance — a BFS from the free columns over the transpose —
+// and caps the unreachable ones at once. Labels start stale, so the first
+// bid relabels; later relabels run every (n+m)/4 bids. An evicted row
+// queues at the back (FIFO), the order that keeps the relabelled bid count
+// linear in practice.
 type PRRefiner struct {
 	a, at  *sparse.CSR
 	mt     *Matching
@@ -49,12 +48,11 @@ type PRRefiner struct {
 	queue       []int32
 	head, count int
 
-	bids, every, since int
-	stale              bool // labels are not valid for the current matching
-	fifo               bool // a relabel has run: evicted rows queue at the back
+	bids, every, since int // since ≥ every: the labels are due a relabel
 
-	// Pothen–Fan+ state, set up by the sweep itself: the per-row lookahead
-	// and DFS cursors, the per-sweep visited columns and the DFS path.
+	// Pothen–Fan+ state: whether the sweep is still to run, then the
+	// buffers the sweep sets up itself — the per-row lookahead and DFS
+	// cursors, the per-sweep visited columns and the DFS path.
 	sweep     bool
 	look, arc []int
 	visit     []bool
@@ -65,18 +63,13 @@ type PRRefiner struct {
 // sweepChunk is how many sweep roots run between cancellation polls.
 const sweepChunk = 256
 
-// NewPRRefiner prepares an incremental push-relabel run on a, warm-started
-// from init (nil means the empty matching; init is copied, not mutated, and
-// not retained). The transpose the global relabel walks is built at the
-// first relabel; callers that hold one use NewPRRefinerWs.
+// NewPRRefiner prepares an incremental sweep + push-relabel run on a,
+// warm-started from init (nil means the empty matching; init is copied,
+// not mutated, and not retained). The transpose the global relabel walks
+// is built at the first relabel; callers that hold one use NewPRRefinerWs.
 func NewPRRefiner(a *sparse.CSR, init *Matching) *PRRefiner {
 	return NewPRRefinerWs(a, nil, init, &Workspace{})
 }
-
-// SetSweep schedules (or, with false, cancels) a Pothen–Fan+ pass as the
-// refiner's next Step, which then runs the whole sweep regardless of its
-// budget.
-func (r *PRRefiner) SetSweep(on bool) { r.sweep = on }
 
 // SetCancel installs a cooperative cancellation hook, polled once per Step
 // and between chunks of sweep roots. After a cancel the held matching is
@@ -104,8 +97,9 @@ func (r *PRRefiner) Done() bool { return r.count == 0 }
 
 // Step processes up to budget active rows — each leaves the queue, bids for
 // its cheapest neighbor column and raises that column's label — and reports
-// whether active rows remain. A false return means the matching is maximum;
-// the refiner stays in that state.
+// whether active rows remain. The first Step runs the whole Pothen–Fan+
+// sweep instead, regardless of budget. A false return means the matching
+// is maximum; the refiner stays in that state.
 func (r *PRRefiner) Step(budget int) bool {
 	if r.count == 0 || r.stop() {
 		return r.count > 0
@@ -117,7 +111,7 @@ func (r *PRRefiner) Step(budget int) bool {
 	}
 	a, mt := r.a, r.mt
 	for ; budget > 0 && r.count > 0; budget-- {
-		if r.stale || r.since >= r.every {
+		if r.since >= r.every {
 			r.relabel()
 		}
 		row := r.queue[r.head]
@@ -144,11 +138,7 @@ func (r *PRRefiner) Step(budget int) bool {
 		// Evict the current mate (it becomes active again) and take c1.
 		if prev := mt.ColMate[c1]; prev != NIL {
 			mt.RowMate[prev] = NIL
-			if r.fifo {
-				r.push(prev)
-			} else {
-				r.pushFront(prev)
-			}
+			r.push(prev)
 		} else {
 			mt.Size++
 		}
@@ -170,15 +160,6 @@ func (r *PRRefiner) slot(k int) int {
 
 func (r *PRRefiner) push(row int32) {
 	r.queue[r.slot(r.count)] = row
-	r.count++
-}
-
-func (r *PRRefiner) pushFront(row int32) {
-	if r.head == 0 {
-		r.head = len(r.queue)
-	}
-	r.head--
-	r.queue[r.head] = row
 	r.count++
 }
 
@@ -210,7 +191,7 @@ func (r *PRRefiner) relabel() {
 		}
 	}
 	r.bfs = q
-	r.since, r.stale, r.fifo = 0, false, true
+	r.since = 0
 }
 
 // runSweep is the Pothen–Fan+ pass over the queued (free) rows: each roots
@@ -235,7 +216,6 @@ func (r *PRRefiner) runSweep() {
 			stopped = r.stop()
 		}
 		if !stopped && r.augmentFrom(s) {
-			r.stale = true
 			continue
 		}
 		r.queue[r.slot(kept)] = s
@@ -314,20 +294,4 @@ func (r *PRRefiner) Run() *Matching {
 	for r.Step(budget) && !r.stop() {
 	}
 	return r.mt
-}
-
-// PushRelabel computes a maximum matching with the push-relabel / auction
-// scheme used by the GPU and multicore maximum-transversal codes the paper
-// cites (Kaya–Langguth–Manne–Uçar 2013; Deveci et al. 2013). Each free
-// row "bids" for its cheapest (lowest-label) neighbor column, evicting the
-// column's current mate, and the column's label rises to one above the
-// row's second-cheapest alternative; periodic global relabels reset the
-// labels to exact distances. A row whose cheapest neighbor label reaches
-// the cap provably has no augmenting path left and stays free.
-//
-// It is the third independent exact algorithm in this package (after
-// Hopcroft–Karp and MC21); the test suite cross-checks all three. It is
-// the one-shot form of PRRefiner, without the sweep.
-func PushRelabel(a *sparse.CSR, init *Matching) *Matching {
-	return NewPRRefiner(a, init).Run()
 }

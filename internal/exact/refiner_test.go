@@ -70,10 +70,10 @@ func TestHKRefinerIncremental(t *testing.T) {
 	}
 }
 
-// TestPRRefinerBoundedSteps drives both push-relabel engines in tiny step
-// budgets — with the sweep, the first Step is the whole Pothen–Fan+ pass
-// and makes no bids, as in the ensemble — and checks validity, monotone
-// size, Done/Step agreement and agreement with the one-shot calls.
+// TestPRRefinerBoundedSteps drives the push-relabel engine in tiny step
+// budgets — the first Step is the whole Pothen–Fan+ pass and makes no
+// bids, as in the ensemble — and checks validity, monotone size, Done/Step
+// agreement and agreement with Hopcroft–Karp.
 func TestPRRefinerBoundedSteps(t *testing.T) {
 	cases := map[string]*sparse.CSR{
 		"er2":     gen.ER(300, 320, 1500, 2),
@@ -84,33 +84,30 @@ func TestPRRefinerBoundedSteps(t *testing.T) {
 	}
 	for name, a := range cases {
 		want := HopcroftKarp(a, nil).Size
-		for _, sweep := range []bool{false, true} {
-			r := NewPRRefiner(a, nil)
-			r.SetSweep(sweep)
-			prev, steps := 0, 0
-			for r.Step(7) {
-				steps++
-				if sweep && steps == 1 && r.Bids() != 0 {
-					t.Fatalf("%s: the sweep step made %d bids", name, r.Bids())
-				}
-				if steps%50 == 1 {
-					validRefinerMatching(t, a, r.Matching())
-				}
-				if r.Size() < prev {
-					t.Fatalf("%s sweep=%v: size shrank %d -> %d", name, sweep, prev, r.Size())
-				}
-				prev = r.Size()
-				if steps > 1_000_000 {
-					t.Fatalf("%s sweep=%v: refiner did not converge", name, sweep)
-				}
+		r := NewPRRefiner(a, nil)
+		prev, steps := 0, 0
+		for r.Step(7) {
+			steps++
+			if steps == 1 && r.Bids() != 0 {
+				t.Fatalf("%s: the sweep step made %d bids", name, r.Bids())
 			}
-			if !r.Done() || r.Step(7) {
-				t.Fatalf("%s sweep=%v: Step returned false but the refiner is not done", name, sweep)
+			if steps%50 == 1 {
+				validRefinerMatching(t, a, r.Matching())
 			}
-			validRefinerMatching(t, a, r.Matching())
-			if r.Size() != want {
-				t.Fatalf("%s sweep=%v: incremental PR %d != HK %d", name, sweep, r.Size(), want)
+			if r.Size() < prev {
+				t.Fatalf("%s: size shrank %d -> %d", name, prev, r.Size())
 			}
+			prev = r.Size()
+			if steps > 1_000_000 {
+				t.Fatalf("%s: refiner did not converge", name)
+			}
+		}
+		if !r.Done() || r.Step(7) {
+			t.Fatalf("%s: Step returned false but the refiner is not done", name)
+		}
+		validRefinerMatching(t, a, r.Matching())
+		if r.Size() != want {
+			t.Fatalf("%s: incremental PR %d != HK %d", name, r.Size(), want)
 		}
 	}
 }
@@ -136,7 +133,7 @@ func TestRefinersWarmStart(t *testing.T) {
 		}
 		want := HopcroftKarp(a, nil).Size
 		hk := HopcroftKarp(a, init)
-		pr := PushRelabel(a, init)
+		pr := NewPRRefiner(a, init).Run()
 		if hk.Size != want || pr.Size != want {
 			t.Fatalf("seed %d: warm-started HK %d / PR %d != maximum %d", seed, hk.Size, pr.Size, want)
 		}

@@ -66,9 +66,6 @@ func NewPRRefinerWs(a, at *sparse.CSR, init *Matching, ws *Workspace) *PRRefiner
 	r.mt = ws.matching(n, m, init)
 	r.limit = int32(min(n, m) + 1)
 	r.psi = growInt32(r.psi, m)
-	for j := range r.psi {
-		r.psi[j] = 0
-	}
 	r.queue = growInt32(r.queue, n)
 	r.head, r.count = 0, 0
 	for i := 0; i < n; i++ {
@@ -78,8 +75,8 @@ func NewPRRefinerWs(a, at *sparse.CSR, init *Matching, ws *Workspace) *PRRefiner
 		}
 	}
 	r.every = max((n+m)/4, 1)
-	r.bids, r.since, r.stale = 0, -r.every, false
-	r.fifo, r.sweep = false, false
+	// The labels start stale, so the first bid (after the sweep) relabels.
+	r.bids, r.since, r.sweep = 0, r.every, true
 	return r
 }
 

@@ -56,7 +56,7 @@ type Options struct {
 	// Ws, when non-nil, supplies reusable buffers for the fused
 	// fixed-iteration path (Tol <= 0): the Result returned aliases the
 	// workspace and is valid only until the workspace's next run. The
-	// convergence-checked, Ruiz and skew-aware paths ignore it.
+	// convergence-checked and Ruiz paths ignore it.
 	Ws *Workspace
 	// Cancel, when non-nil, is a cooperative cancellation hook polled
 	// between matrix sweeps (once or twice per iteration). When it reports

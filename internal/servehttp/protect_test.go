@@ -13,6 +13,7 @@ import (
 	"time"
 
 	bipartite "repro"
+	"repro/internal/par"
 )
 
 // postJSONHeaders is postJSON with extra request headers (X-Client).
@@ -61,6 +62,16 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// goroutineBaseline returns the goroutine count a leak check compares
+// against. It first creates the process-wide default worker pool, whose
+// resident workers live as long as the process: a test that is the first
+// to match would otherwise start them after its baseline and count them
+// as leaked.
+func goroutineBaseline() int {
+	par.Default()
+	return runtime.NumGoroutine()
+}
+
 // newProtectedServer builds the production mux over a Server whose
 // watchdog believes the synthetic CPU signal: cumulative CPU time is
 // modeled as busyMilli/1000 of capacity over the whole process lifetime,
@@ -86,7 +97,7 @@ func newProtectedServer(t *testing.T, busyMilli *atomic.Int64, cfg bipartite.Ser
 // on the wire), and once the load clears it serves everything at full
 // quality again — without leaking goroutines.
 func TestProtectHTTPShedAndRecover(t *testing.T) {
-	baseline := runtime.NumGoroutine()
+	baseline := goroutineBaseline()
 	var busy atomic.Int64
 	ts, srv := newProtectedServer(t, &busy, bipartite.ServerConfig{
 		MaxBatch: 16,

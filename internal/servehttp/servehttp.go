@@ -239,9 +239,9 @@ type matchResponse struct {
 	HeuristicSize int    `json:"heuristic_size"`
 	Refined       bool   `json:"refined"`
 	// RefinedWith names the refinement engine that actually ran ("exact" —
-	// a Pothen–Fan+ sweep then push-relabel with global relabeling —
-	// "pushrelabel" or "graft"; "refine":"exact" auto-selects the parallel
-	// graft engine on large instances). Absent when no refinement ran.
+	// a Pothen–Fan+ sweep then push-relabel with global relabeling — or
+	// "graft"; "refine":"exact" auto-selects the parallel graft engine on
+	// large instances). Absent when no refinement ran.
 	RefinedWith string `json:"refined_with,omitempty"`
 	// Weighted provenance, present only on "algorithm":"auction" responses:
 	// the matched weight the auction maximized, the resolved epsilon of its

@@ -41,18 +41,6 @@ func TestMatchServeSpecFields(t *testing.T) {
 		t.Fatalf("heuristic_size %d outside (0, 64]", hs)
 	}
 
-	// The push-relabel refinement family is reachable over the wire and
-	// reaches the same maximum.
-	resp, body = postJSON(t, ts.URL+"/match", map[string]any{
-		"graph": id, "algorithm": "cheap-vertex", "seed": 3, "refine": "pushrelabel",
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("/match pushrelabel: status %d body %v", resp.StatusCode, body)
-	}
-	if int(body["size"].(float64)) != 64 || body["refined"] != true {
-		t.Fatalf("pushrelabel-refined response %v, want size 64 refined", body)
-	}
-
 	// A best-of-8 ensemble with a target: valid request, sane response,
 	// ensemble provenance on the wire. The sequential variant must agree
 	// exactly (the library gates bit-identity; here we pin the wire).
@@ -128,6 +116,7 @@ func TestMatchServeSpecInvalid(t *testing.T) {
 	}{
 		{"unknown algorithm", map[string]any{"graph": id, "algorithm": "simulated-annealing"}},
 		{"unknown refine", map[string]any{"graph": id, "refine": "approximately"}},
+		{"push-relabel alone is not an engine", map[string]any{"graph": id, "refine": "pushrelabel"}},
 		{"negative best_of", map[string]any{"graph": id, "best_of": -3}},
 		{"target above 1", map[string]any{"graph": id, "target": 1.5}},
 		{"negative target", map[string]any{"graph": id, "target": -0.1}},

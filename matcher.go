@@ -158,10 +158,9 @@ func (m *Matcher) installScaling(sc *Scaling) {
 }
 
 // refineWs returns the session's refinement workspace, building it on
-// first use: the push-relabel (with or without the sweep) and graft
-// refiners all run on it, so a session issuing repeated refining Specs
-// (the ensemble+refine serving pattern) reuses one set of refinement
-// buffers and stays
+// first use: the sweep + push-relabel and graft refiners both run on it,
+// so a session issuing repeated refining Specs (the ensemble+refine
+// serving pattern) reuses one set of refinement buffers and stays
 // allocation-free in steady state. One refiner is live on it at a time —
 // exactly the Spec engine's shape, which never interleaves two refiners.
 func (m *Matcher) refineWs() *exact.Workspace {

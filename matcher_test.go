@@ -73,8 +73,6 @@ func TestMatcherBitIdenticalToOneShot(t *testing.T) {
 		{ScalingIterations: 5, Workers: 1},
 		{ScalingIterations: 5, Workers: 4},
 		{ScalingIterations: 0, Workers: 2}, // uniform sampling path
-		{ScalingIterations: -1, UseRuiz: true, Workers: 2},
-		{ScalingIterations: 5, Workers: 1, SkewAware: true},
 	}
 	for name, g := range graphs {
 		for oi, base := range optSets {
@@ -278,7 +276,6 @@ func TestMatcherSteadyStateAllocs(t *testing.T) {
 		spec Spec
 	}{
 		{"RefineExact", Spec{Refine: RefineExact}},
-		{"RefinePushRelabel", Spec{Refine: RefinePushRelabel}},
 		{"EnsembleRefineExact", Spec{Ensemble: 4, Refine: RefineExact, Sequential: true}},
 		{"RefineGraft", Spec{Refine: RefineGraft}},
 		{"EnsembleRefineGraft", Spec{Ensemble: 4, Refine: RefineGraft, Sequential: true}},

@@ -23,27 +23,12 @@ type Options struct {
 	Workers int
 	// Seed makes runs reproducible; 0 is replaced by 1.
 	Seed uint64
-	// UseRuiz switches the scaling method from Sinkhorn–Knopp to Ruiz
-	// equilibration (the §2.2 alternative; converges more slowly).
-	UseRuiz bool
-	// SkewAware splits rows/columns with enormous degree across all
-	// workers during scaling (the §2.2 load-balance remark); results are
-	// numerically equal up to round-off reassociation.
-	SkewAware bool
 	// Pool, when non-nil, is the worker pool every parallel stage of the
 	// call dispatches to — scaling sweeps, sampling and both Karp–Sipser
 	// phases reuse its resident workers. Nil uses the process-wide
 	// default pool. Servers that pin matching work to a subset of cores
 	// create one Pool at startup and pass it on every call.
 	Pool *Pool
-	// AliasSampling switches the sampling kernels' per-row neighbor draw
-	// from the O(deg) prefix walk to O(1) alias-method tables, built once
-	// per bound graph in O(nnz) on first use and reused across runs —
-	// profitable for sessions that resample the same graph many times
-	// (ensembles, servers). Opt-in because the alias draw consumes the
-	// per-vertex RNG stream differently, so seeded results differ from
-	// (while being distributed identically to) the default kernels'.
-	AliasSampling bool
 }
 
 // Pool is a handle to a persistent set of parallel workers that matching
@@ -100,7 +85,6 @@ func (v Options) coreOptions(sc *Scaling) core.Options {
 		KSPolicy: par.Guided,
 		Seed:     v.Seed,
 		Pool:     v.Pool.inner(),
-		Alias:    v.AliasSampling,
 	}
 	if sc != nil {
 		o.RowTotals = sc.RowSums
@@ -122,24 +106,21 @@ type Scaling struct {
 	History []float64
 	// RowSums and ColSums are the raw scaled row/column sums of the final
 	// vectors (the sampling denominators of Algorithms 2 and 3), exported
-	// by the fused Sinkhorn–Knopp sweeps. They may be nil (Ruiz,
-	// skew-aware and tolerance-checked runs); the sampling stage then
-	// computes totals on the fly.
+	// by the fused Sinkhorn–Knopp sweeps. RowSums is nil after zero
+	// iterations; the sampling stage then computes totals on the fly.
 	RowSums, ColSums []float64
 }
 
 // scaleRunHook, when set, is called at the start of every scaling run —
-// the test seam that counts how many Sinkhorn–Knopp (or Ruiz) executions a
+// the test seam that counts how many Sinkhorn–Knopp executions a
 // serving workload actually performs (the shared per-graph scaling
 // guarantee is asserted through it). Loaded atomically because batch slots
 // scale from pool workers.
 var scaleRunHook atomic.Pointer[func()]
 
-// scaleRaw runs the configured scaling method on g, drawing buffers from
-// ws when non-nil and the method supports it (the fused Sinkhorn–Knopp
-// path; Ruiz and skew-aware runs always allocate). cancel, when non-nil,
-// is the cooperative cancellation hook polled between sweeps; a canceled
-// run fails with scale.ErrCanceled.
+// scaleRaw runs Sinkhorn–Knopp on g, drawing buffers from ws when
+// non-nil. cancel, when non-nil, is the cooperative cancellation hook
+// polled between sweeps; a canceled run fails with scale.ErrCanceled.
 func (g *Graph) scaleRaw(v Options, ws *scale.Workspace, cancel func() bool) (*scale.Result, error) {
 	if hook := scaleRunHook.Load(); hook != nil {
 		(*hook)()
@@ -152,19 +133,12 @@ func (g *Graph) scaleRaw(v Options, ws *scale.Workspace, cancel func() bool) (*s
 		Ws:       ws,
 		Cancel:   cancel,
 	}
-	switch {
-	case v.UseRuiz:
-		return scale.Ruiz(g.a, g.transpose(), sopt)
-	case v.SkewAware:
-		return scale.SinkhornKnoppSkewAware(g.a, g.transpose(), sopt)
-	default:
-		return scale.SinkhornKnopp(g.a, g.transpose(), sopt)
-	}
+	return scale.SinkhornKnopp(g.a, g.transpose(), sopt)
 }
 
-// Scale runs the configured scaling method and returns the scaling
-// vectors. Most callers use OneSidedMatch / TwoSidedMatch directly, which
-// scale internally; Scale is exposed for scaling-only workflows and the
+// Scale runs Sinkhorn–Knopp scaling and returns the scaling vectors.
+// Most callers use OneSidedMatch / TwoSidedMatch directly, which scale
+// internally; Scale is exposed for scaling-only workflows and the
 // experiments.
 func (g *Graph) Scale(opt *Options) (*Scaling, error) {
 	res, err := g.scaleRaw(opt.normalized(), nil, nil)

@@ -91,7 +91,7 @@ func (f *fakeLoad) heat(t *testing.T, srv *Server, busy float64, want ShedLevel)
 // serves everything at full quality again — leaving no goroutines behind.
 func TestProtectShedThenRecover(t *testing.T) {
 	g := RandomER(300, 300, 3, 1)
-	baseline := runtime.NumGoroutine()
+	baseline := goroutineBaseline()
 
 	f := newFakeLoad()
 	srv := NewServerConfig(&Options{ScalingIterations: 2, Workers: 1},

@@ -9,6 +9,8 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/par"
 )
 
 // countScaleRuns installs the scaling counter hook for the duration of the
@@ -115,7 +117,7 @@ func TestMatchBatchSharedScalingPerGraph(t *testing.T) {
 // goroutine, so rejected and served requests alike leave none behind.
 func TestServerOverloadedWhenQueueFull(t *testing.T) {
 	g := RandomER(300, 300, 3, 1)
-	baseline := runtime.NumGoroutine()
+	baseline := goroutineBaseline()
 
 	srv := NewServerConfig(&Options{ScalingIterations: 2, Workers: 1},
 		ServerConfig{MaxBatch: 1, Queue: 1})
@@ -187,6 +189,16 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+}
+
+// goroutineBaseline returns the goroutine count a leak check compares
+// against. It first creates the process-wide default worker pool, whose
+// resident workers live as long as the process: a test that is the first
+// to match would otherwise start them after its baseline and count them
+// as leaked.
+func goroutineBaseline() int {
+	par.Default()
+	return runtime.NumGoroutine()
 }
 
 // TestServerExpiredContextSkipsKernels: a request whose context is already

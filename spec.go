@@ -109,20 +109,14 @@ const (
 	// jump-start, the exact solver only pays for the rows the heuristic
 	// left free. The engine is one Pothen–Fan+ sweep (a DFS per free row
 	// with lookahead, each column visited once per sweep) followed, only
-	// if rows are still free, by push-relabel with global relabeling; on
-	// large instances it auto-selects RefineGraft. A refined single run
-	// always satisfies size == Sprank(); inside an ensemble, refinement
-	// proceeds incrementally between candidates and a Spec.Target may stop
-	// it early (size ≥ ⌈Target·SprankUpperBound()⌉), otherwise it too
-	// finishes at size == Sprank().
-	RefineExact
-	// RefinePushRelabel augments with the push-relabel / auction scheme
-	// with global relabeling alone, without RefineExact's sweep (the
+	// if rows are still free, by push-relabel with global relabeling (the
 	// algorithm family of the GPU and multicore maximum-transversal codes
-	// the paper cites), with exactly RefineExact's contract. The two
-	// produce matchings of identical (maximum) size but generally
-	// different mates.
-	RefinePushRelabel
+	// the paper cites); on large instances it auto-selects RefineGraft. A
+	// refined single run always satisfies size == Sprank(); inside an
+	// ensemble, refinement proceeds incrementally between candidates and a
+	// Spec.Target may stop it early (size ≥ ⌈Target·SprankUpperBound()⌉),
+	// otherwise it too finishes at size == Sprank().
+	RefineExact
 	// RefineGraft augments with the parallel multi-source BFS +
 	// tree-grafting engine (the MS-BFS-Graft family of Azad et al.): all
 	// exposed rows grow alternating forests together across the session's
@@ -151,8 +145,6 @@ func (r Refinement) String() string {
 		return "none"
 	case RefineExact:
 		return "exact"
-	case RefinePushRelabel:
-		return "pushrelabel"
 	case RefineGraft:
 		return "graft"
 	default:
@@ -168,8 +160,6 @@ func ParseRefinement(s string) (Refinement, error) {
 		return RefineNone, nil
 	case "exact":
 		return RefineExact, nil
-	case "pushrelabel", "push-relabel":
-		return RefinePushRelabel, nil
 	case "graft", "msbfs-graft":
 		return RefineGraft, nil
 	default:
@@ -201,7 +191,7 @@ type Spec struct {
 	Ensemble int
 
 	// Refine post-processes the winning heuristic matching; see
-	// RefineExact and RefinePushRelabel. Inside an ensemble the
+	// RefineExact and RefineGraft. Inside an ensemble the
 	// refinement is ensemble-aware: it advances incrementally as
 	// candidates arrive (warm-started from the best candidate so far) and
 	// the ensemble stops early once the refined size reaches the Target
@@ -331,11 +321,10 @@ func (s Spec) Validate() error {
 // AlgKarpSipser, the winner's phase statistics.
 //
 // Refinement completes the winner toward maximum cardinality with a
-// Pothen–Fan+ sweep then push-relabel (RefineExact), push-relabel alone
-// (RefinePushRelabel) or the parallel MS-BFS-Graft engine (RefineGraft;
-// RefineExact auto-selects it on instances with at least graftAutoEdges
-// nonzeros, and MatchResult.RefinedWith reports the engine that actually
-// ran). For
+// Pothen–Fan+ sweep then push-relabel (RefineExact) or the parallel
+// MS-BFS-Graft engine (RefineGraft; RefineExact auto-selects it on
+// instances with at least graftAutoEdges nonzeros, and
+// MatchResult.RefinedWith reports the engine that actually ran). For
 // single runs the refined matching always satisfies size == Sprank().
 // Inside an ensemble the refinement is ensemble-aware: it advances one
 // bounded unit per consumed candidate, warm-starting from the best
@@ -383,9 +372,8 @@ func (m *Matcher) runSingle(spec Spec, seed uint64, sc *Scaling) (*MatchResult, 
 	heuristic := best.Size
 	ref := m.resolveRefine(spec.Refine)
 	switch ref {
-	case RefineExact, RefinePushRelabel:
+	case RefineExact:
 		pr := exact.NewPRRefinerWs(m.g.a, m.g.transpose(), best, m.refineWs())
-		pr.SetSweep(ref == RefineExact)
 		pr.SetCancel(m.cancel)
 		best = pr.Run()
 	case RefineGraft:
@@ -716,7 +704,7 @@ func (m *Matcher) resolveRefine(ref Refinement) Refinement {
 // newSpecRefiner builds the incremental refiner of the given (resolved)
 // family on the session's refinement workspace, warm-started from a copy of
 // init. For RefineExact the first advance is the Pothen–Fan+ sweep; every
-// other push-relabel advance is a budget of one bid per row — roughly one
+// later advance is a push-relabel budget of one bid per row — roughly one
 // sweep of work per unit. A graft refiner built here starts at width 1:
 // consume runs inside the parallel schedule's pool region, where nested
 // pool dispatch would deadlock; runEnsemble re-widens it for the
@@ -730,7 +718,6 @@ func (m *Matcher) newSpecRefiner(ref Refinement, init *Matching) specRefiner {
 		return graftSpecRefiner{r: gr}
 	}
 	pr := exact.NewPRRefinerWs(a, m.g.transpose(), init, ws)
-	pr.SetSweep(ref == RefineExact)
 	pr.SetCancel(m.cancel)
 	return prSpecRefiner{r: pr, budget: max(a.RowsN, 1)}
 }

@@ -25,28 +25,26 @@ func TestSpecRefineExactReachesSprank(t *testing.T) {
 	}{"road-1000", RoadNetwork(1000, 2.5, 4)})
 	for _, tc := range families {
 		sprank := tc.g.Sprank()
-		for _, ref := range []Refinement{RefineExact, RefinePushRelabel} {
-			for _, alg := range []Algorithm{AlgTwoSided, AlgOneSided, AlgKarpSipser, AlgCheapVertex} {
-				res, err := tc.g.Match(Spec{Algorithm: alg, Seed: 3, Refine: ref}, &Options{ScalingIterations: 5})
-				if err != nil {
-					t.Fatalf("%s/%s/%s: %v", tc.name, alg, ref, err)
-				}
-				if res.Matching.Size != sprank {
-					t.Fatalf("%s/%s/%s: refined size %d want sprank %d", tc.name, alg, ref, res.Matching.Size, sprank)
-				}
-				if err := tc.g.ValidateMatching(res.Matching); err != nil {
-					t.Fatalf("%s/%s/%s: %v", tc.name, alg, ref, err)
-				}
-				if !tc.g.CertifyMaximum(res.Matching) {
-					t.Fatalf("%s/%s/%s: refined matching fails the König certificate", tc.name, alg, ref)
-				}
-				if res.HeuristicSize > res.Matching.Size {
-					t.Fatalf("%s/%s/%s: heuristic size %d exceeds refined size %d",
-						tc.name, alg, ref, res.HeuristicSize, res.Matching.Size)
-				}
-				if !res.Refined {
-					t.Fatalf("%s/%s/%s: Refined flag not set", tc.name, alg, ref)
-				}
+		for _, alg := range []Algorithm{AlgTwoSided, AlgOneSided, AlgKarpSipser, AlgCheapVertex} {
+			res, err := tc.g.Match(Spec{Algorithm: alg, Seed: 3, Refine: RefineExact}, &Options{ScalingIterations: 5})
+			if err != nil {
+				t.Fatalf("%s/%s: %v", tc.name, alg, err)
+			}
+			if res.Matching.Size != sprank {
+				t.Fatalf("%s/%s: refined size %d want sprank %d", tc.name, alg, res.Matching.Size, sprank)
+			}
+			if err := tc.g.ValidateMatching(res.Matching); err != nil {
+				t.Fatalf("%s/%s: %v", tc.name, alg, err)
+			}
+			if !tc.g.CertifyMaximum(res.Matching) {
+				t.Fatalf("%s/%s: refined matching fails the König certificate", tc.name, alg)
+			}
+			if res.HeuristicSize > res.Matching.Size {
+				t.Fatalf("%s/%s: heuristic size %d exceeds refined size %d",
+					tc.name, alg, res.HeuristicSize, res.Matching.Size)
+			}
+			if !res.Refined {
+				t.Fatalf("%s/%s: Refined flag not set", tc.name, alg)
 			}
 		}
 	}
@@ -187,10 +185,17 @@ func TestSpecValidate(t *testing.T) {
 			t.Fatalf("algorithm %v does not round-trip: %v %v", alg, back, err)
 		}
 	}
-	for _, ref := range []Refinement{RefineNone, RefineExact, RefinePushRelabel, RefineGraft} {
+	for _, ref := range []Refinement{RefineNone, RefineExact, RefineGraft} {
 		back, err := ParseRefinement(ref.String())
 		if err != nil || back != ref {
 			t.Fatalf("refinement %v does not round-trip: %v %v", ref, back, err)
+		}
+	}
+	// Push-relabel without the sweep is not an engine of its own; its old
+	// wire names must fail rather than fall back to another engine.
+	for _, name := range []string{"pushrelabel", "push-relabel"} {
+		if ref, err := ParseRefinement(name); err == nil {
+			t.Fatalf("ParseRefinement(%q) = %v, want an error", name, ref)
 		}
 	}
 }
@@ -297,7 +302,7 @@ func TestSpecEnsembleParallelBitIdentical(t *testing.T) {
 		{Algorithm: AlgTwoSided, Seed: 1, Ensemble: 8},
 		{Algorithm: AlgTwoSided, Seed: 3, Ensemble: 8, Target: 0.9},
 		{Algorithm: AlgTwoSided, Seed: 5, Ensemble: 6, Refine: RefineExact},
-		{Algorithm: AlgOneSided, Seed: 2, Ensemble: 8, Refine: RefinePushRelabel},
+		{Algorithm: AlgOneSided, Seed: 2, Ensemble: 8, Refine: RefineExact},
 		{Algorithm: AlgOneSided, Seed: 6, Ensemble: 6, Refine: RefineGraft},
 		{Algorithm: AlgOneSided, Seed: 4, Ensemble: 8, Refine: RefineExact, Target: 0.97},
 		{Algorithm: AlgKarpSipser, Seed: 1, Ensemble: 5},
@@ -400,53 +405,51 @@ func TestSpecEnsembleParallelWinnerStats(t *testing.T) {
 // refiner proves maximality below the bound and stops too — in both cases
 // the final matching is maximum, keeping the RefineExact contract.
 func TestSpecEnsembleRefineIncremental(t *testing.T) {
-	for _, ref := range []Refinement{RefineExact, RefinePushRelabel} {
-		full := FullyIndecomposable(600, 2, 7) // sprank == 600 == upper bound
-		res, err := full.Match(Spec{Seed: 1, Ensemble: 8, Refine: ref},
-			&Options{ScalingIterations: 5, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Matching.Size != full.Sprank() {
-			t.Fatalf("%v: refined size %d want sprank %d", ref, res.Matching.Size, full.Sprank())
-		}
-		if res.Candidates >= 8 {
-			t.Fatalf("%v: refinement saturated the structural bound but all %d candidates ran", ref, res.Candidates)
-		}
-		if err := full.ValidateMatching(res.Matching); err != nil {
-			t.Fatal(err)
-		}
-		// Provenance anchor: the reported winner is the candidate the
-		// refinement warm-started from, so replaying its seed as a single
-		// unrefined run must reproduce HeuristicSize exactly.
-		replay, err := full.Match(Spec{Seed: res.WinnerSeed},
-			&Options{ScalingIterations: 5, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if replay.Matching.Size != res.HeuristicSize {
-			t.Fatalf("%v: winner seed %d replays to size %d, but HeuristicSize is %d",
-				ref, res.WinnerSeed, replay.Matching.Size, res.HeuristicSize)
-		}
+	full := FullyIndecomposable(600, 2, 7) // sprank == 600 == upper bound
+	res, err := full.Match(Spec{Seed: 1, Ensemble: 8, Refine: RefineExact},
+		&Options{ScalingIterations: 5, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Matching.Size != full.Sprank() {
+		t.Fatalf("refined size %d want sprank %d", res.Matching.Size, full.Sprank())
+	}
+	if res.Candidates >= 8 {
+		t.Fatalf("refinement saturated the structural bound but all %d candidates ran", res.Candidates)
+	}
+	if err := full.ValidateMatching(res.Matching); err != nil {
+		t.Fatal(err)
+	}
+	// Provenance anchor: the reported winner is the candidate the
+	// refinement warm-started from, so replaying its seed as a single
+	// unrefined run must reproduce HeuristicSize exactly.
+	replay, err := full.Match(Spec{Seed: res.WinnerSeed},
+		&Options{ScalingIterations: 5, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replay.Matching.Size != res.HeuristicSize {
+		t.Fatalf("winner seed %d replays to size %d, but HeuristicSize is %d",
+			res.WinnerSeed, replay.Matching.Size, res.HeuristicSize)
+	}
 
-		deficient := RoadNetwork(900, 2.5, 4) // sprank < upper bound
-		res, err = deficient.Match(Spec{Seed: 1, Ensemble: 8, Refine: ref},
-			&Options{ScalingIterations: 5, Workers: 1})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Matching.Size != deficient.Sprank() {
-			t.Fatalf("%v deficient: refined size %d want sprank %d", ref, res.Matching.Size, deficient.Sprank())
-		}
-		if !deficient.CertifyMaximum(res.Matching) {
-			t.Fatalf("%v deficient: refined matching fails the König certificate", ref)
-		}
+	deficient := RoadNetwork(900, 2.5, 4) // sprank < upper bound
+	res, err = deficient.Match(Spec{Seed: 1, Ensemble: 8, Refine: RefineExact},
+		&Options{ScalingIterations: 5, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Matching.Size != deficient.Sprank() {
+		t.Fatalf("deficient: refined size %d want sprank %d", res.Matching.Size, deficient.Sprank())
+	}
+	if !deficient.CertifyMaximum(res.Matching) {
+		t.Fatal("deficient: refined matching fails the König certificate")
 	}
 
 	// A Target under the refined path bounds the refinement itself: the
 	// returned matching clears ⌈Target·UB⌉ but the sweep stops right there.
 	g := RandomER(1000, 1000, 4, 23)
-	res, err := g.Match(Spec{Seed: 1, Ensemble: 8, Refine: RefineExact, Target: 0.5},
+	res, err = g.Match(Spec{Seed: 1, Ensemble: 8, Refine: RefineExact, Target: 0.5},
 		&Options{ScalingIterations: 5, Workers: 1})
 	if err != nil {
 		t.Fatal(err)

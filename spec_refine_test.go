@@ -10,8 +10,8 @@ import (
 )
 
 // TestPushRelabelBidBudget gates the push-relabel engine's work, not its
-// wall clock: from a TwoSided warm start it must finish within 2·(n+m)
-// bids on the families where a bid loop without global relabeling blows
+// wall clock: from a TwoSided warm start, after the Pothen–Fan+ sweep, it
+// must finish within 2·(n+m) bids on the families where a bid loop without global relabeling blows
 // up — heavy rank deficiency (doomed labels climb one step per bid),
 // long thin paths and a 3D grid.
 func TestPushRelabelBidBudget(t *testing.T) {
@@ -45,30 +45,28 @@ func TestPushRelabelBidBudget(t *testing.T) {
 
 // TestRefineCancelAfterFirstPoll arms a cancellation hook that fires after
 // its first poll on a 20k-row grid. The cheap warm start polls nothing,
-// so the refinement engines take the first poll themselves: RefineExact
-// and RefinePushRelabel, single and ensemble, must return ErrCanceled,
-// and the session must serve a correct result afterwards.
+// so the refinement engine takes the first poll itself: RefineExact,
+// single and ensemble, must return ErrCanceled, and the session must serve
+// a correct result afterwards.
 func TestRefineCancelAfterFirstPoll(t *testing.T) {
 	g := Grid2D(100, 200)
 	sprank := g.Sprank()
 	m := g.NewMatcher(&Options{Workers: 1})
-	for _, ref := range []Refinement{RefineExact, RefinePushRelabel} {
-		for _, ens := range []int{1, 4} {
-			spec := Spec{Algorithm: AlgCheapVertex, Seed: 3, Refine: ref, Ensemble: ens, Sequential: true}
-			polls := 0
-			m.setCancel(func() bool { polls++; return polls > 1 })
-			if _, err := m.Run(spec); !errors.Is(err, ErrCanceled) {
-				t.Fatalf("%v ensemble %d: %v after the hook fired, want ErrCanceled", ref, ens, err)
-			}
-			m.setCancel(nil)
-			res, err := m.Run(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Matching.Size != sprank || res.RefinedWith != ref {
-				t.Fatalf("%v ensemble %d: size %d with %v after a cancel, want %d with %v",
-					ref, ens, res.Matching.Size, res.RefinedWith, sprank, ref)
-			}
+	for _, ens := range []int{1, 4} {
+		spec := Spec{Algorithm: AlgCheapVertex, Seed: 3, Refine: RefineExact, Ensemble: ens, Sequential: true}
+		polls := 0
+		m.setCancel(func() bool { polls++; return polls > 1 })
+		if _, err := m.Run(spec); !errors.Is(err, ErrCanceled) {
+			t.Fatalf("ensemble %d: %v after the hook fired, want ErrCanceled", ens, err)
+		}
+		m.setCancel(nil)
+		res, err := m.Run(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Matching.Size != sprank || res.RefinedWith != RefineExact {
+			t.Fatalf("ensemble %d: size %d with %v after a cancel, want %d with exact",
+				ens, res.Matching.Size, res.RefinedWith, sprank)
 		}
 	}
 }
